@@ -27,7 +27,7 @@
 // DESIGN.md §10: library code must surface typed errors, not unwraps.
 #![cfg_attr(not(test), warn(clippy::unwrap_used))]
 
-use lesm_core::pipeline::{LatentStructureMiner, MinedStructure, MinerConfig};
+use lesm_core::pipeline::{LatentStructureMiner, MinerConfig};
 use lesm_corpus::synth::GenPaper;
 use lesm_corpus::{Corpus, LoadOptions};
 use lesm_hier::em::{EmConfig, WeightMode};
@@ -80,8 +80,6 @@ pub enum Command {
         /// Adaptive-dispatch cutoff in abstract work units (`None` keeps
         /// the library default).
         par_threshold: Option<u64>,
-        /// Artifact format version to write (1 or 2; 2 is the default).
-        format: u32,
     },
     /// Dump a snapshot artifact's section table (`lesm snapshot inspect`).
     Inspect {
@@ -90,7 +88,7 @@ pub enum Command {
     },
     /// Split a snapshot into per-shard artifacts plus a manifest.
     Shard {
-        /// Input `.lesm` snapshot path (any format version).
+        /// Input `.lesm` snapshot path.
         snapshot: String,
         /// Output directory for the shard artifacts and `manifest.json`.
         out_dir: String,
@@ -144,7 +142,7 @@ pub enum Command {
     },
     /// Typed structural query against a snapshot (`lesm-query` engine).
     Query {
-        /// Input `.lesm` snapshot path (either format version).
+        /// Input `.lesm` snapshot path.
         snapshot: String,
         /// Program: an inline JSON literal (starts with `{`) or a path
         /// to a JSON file.
@@ -218,7 +216,6 @@ pub fn parse_args(args: &[String]) -> Result<Command, String> {
             let mut threads = 0usize;
             let mut em_tol = 0.0f64;
             let mut par_threshold = None;
-            let mut format = 2u32;
             while let Some(flag) = it.next() {
                 match flag.as_str() {
                     "--k" => k = next_value(&mut it, flag)?,
@@ -226,14 +223,6 @@ pub fn parse_args(args: &[String]) -> Result<Command, String> {
                     "--threads" => threads = next_value(&mut it, flag)?,
                     "--em-tol" => em_tol = next_value(&mut it, flag)?,
                     "--par-threshold" => par_threshold = Some(next_value(&mut it, flag)?),
-                    "--format" => {
-                        let raw: String = next_value(&mut it, flag)?;
-                        format = match raw.as_str() {
-                            "v1" | "1" => 1,
-                            "v2" | "2" => 2,
-                            other => return Err(format!("--format got {other:?}; use v1 or v2")),
-                        };
-                    }
                     other => return Err(format!("unknown flag {other}")),
                 }
             }
@@ -243,7 +232,7 @@ pub fn parse_args(args: &[String]) -> Result<Command, String> {
             if em_tol < 0.0 || !em_tol.is_finite() {
                 return Err("--em-tol must be a finite non-negative number".into());
             }
-            Ok(Command::Snapshot { input, output, k, depth, threads, em_tol, par_threshold, format })
+            Ok(Command::Snapshot { input, output, k, depth, threads, em_tol, par_threshold })
         }
         "shard" => {
             let snapshot = it.next().ok_or("shard needs a snapshot path")?.clone();
@@ -390,11 +379,10 @@ USAGE:
   lesm mine <corpus.tsv> [--k K] [--depth D] [--threads T] [--em-tol TOL]
             [--par-threshold U]           mine a hierarchy, print JSON
   lesm snapshot <corpus.tsv> <out.lesm> [--k K] [--depth D] [--threads T] [--em-tol TOL]
-            [--par-threshold U] [--format v1|v2]
-                                          mine once, save a binary snapshot
+            [--par-threshold U]           mine once, save a binary snapshot
   lesm snapshot inspect <file.lesm>       dump an artifact's section table
   lesm shard <snapshot.lesm> <out_dir> [--by entity-range|topic-subtree]
-             [--shards N]                 split a snapshot into v2 shards
+             [--shards N]                 split a snapshot into shards
   lesm serve <snapshot.lesm | manifest.json | store_dir>
              [--addr HOST:PORT] [--workers N] [--cache N] [--queue N]
              [--shutdown-file PATH]       serve queries
@@ -416,8 +404,8 @@ overhead. It changes scheduling only, never results.
 `--em-tol` stops each EM run once the relative
 objective improvement drops below TOL (0, the default, always runs the
 full iteration budget). `search` detects snapshot inputs by their magic
-bytes and answers from the persisted structure without re-mining; format
-v2 artifacts (the default) are mapped zero-copy. `query` runs a composable
+bytes and answers from the persisted structure without re-mining; the
+artifact is mapped zero-copy. `query` runs a composable
 filter/traverse/path/rank pipeline (see README \"Querying\" and DESIGN.md
 §14) and prints the JSON response a server's POST /query returns for the
 same program. The server exposes GET
@@ -476,27 +464,22 @@ pub fn run_mine(
 ) -> Result<String, String> {
     let mined = LatentStructureMiner::mine(corpus, &cli_miner_config(k, depth, threads, em_tol))
         .map_err(|e| e.to_string())?;
-    Ok(lesm_core::export::hierarchy_to_json(corpus, &mined, 10))
+    Ok(lesm_core::export::hierarchy_to_json(&(corpus, &mined), 10))
 }
 
-/// Renders the top-10 search hits for `query` against an already-mined
-/// structure (shared by the TSV path, the snapshot path, and the server).
-pub fn search_lines(corpus: &Corpus, mined: &MinedStructure, query: &str) -> Vec<String> {
-    let hits = lesm_core::search::search(corpus, mined, query, 10);
-    lesm_core::search::render_hits(corpus, mined, &hits)
-}
-
-/// Runs `search` on a TSV corpus (mines first); returns rendered lines.
+/// Runs `search` on a TSV corpus (mines first); returns the top-10 hits,
+/// rendered one line each.
 pub fn run_search(corpus: &Corpus, query: &str, k: usize, depth: usize) -> Result<Vec<String>, String> {
     let mined = LatentStructureMiner::mine(corpus, &cli_miner_config(k, depth, 0, 0.0))
         .map_err(|e| e.to_string())?;
-    Ok(search_lines(corpus, &mined, query))
+    let model = (corpus, &mined);
+    Ok(lesm_core::search::render_hits(&model, &lesm_core::search::search(&model, query, 10)))
 }
 
 /// Runs `search` on either input kind: `.lesm` snapshots (detected by
-/// magic bytes; both format versions) answer from the persisted
-/// structure without re-mining — v2 artifacts map zero-copy; anything
-/// else is loaded as TSV and mined with the default CLI config.
+/// magic bytes) are mapped zero-copy and answer from the persisted
+/// structure without re-mining; anything else is loaded as TSV and mined
+/// with the default CLI config.
 pub fn run_search_input(
     input: &str,
     query: &str,
@@ -513,8 +496,7 @@ pub fn run_search_input(
 }
 
 /// Runs `snapshot`: mines `corpus` with the default CLI config and writes
-/// the binary artifact to `output` in the requested format version.
-/// Returns a human-readable summary.
+/// the binary artifact to `output`. Returns a human-readable summary.
 pub fn run_snapshot(
     corpus: &Corpus,
     output: &str,
@@ -522,27 +504,21 @@ pub fn run_snapshot(
     depth: usize,
     threads: usize,
     em_tol: f64,
-    format: u32,
 ) -> Result<String, String> {
     let mined = LatentStructureMiner::mine(corpus, &cli_miner_config(k, depth, threads, em_tol))
         .map_err(|e| e.to_string())?;
-    match format {
-        1 => lesm_serve::save_snapshot_file(output, corpus, &mined).map_err(|e| e.to_string())?,
-        2 => {
-            lesm_serve::save_snapshot_v2_file(output, corpus, &mined).map_err(|e| e.to_string())?
-        }
-        other => return Err(format!("unsupported snapshot format v{other}")),
-    }
+    lesm_serve::save_snapshot_v2_file(output, corpus, &mined).map_err(|e| e.to_string())?;
     let bytes = std::fs::metadata(output).map(|m| m.len()).unwrap_or(0);
     Ok(format!(
-        "wrote {output} (format v{format}): {} topics, {} docs, {bytes} bytes",
+        "wrote {output} (format v{}): {} topics, {} docs, {bytes} bytes",
+        lesm_serve::FORMAT_VERSION_V2,
         mined.hierarchy.len(),
         corpus.num_docs()
     ))
 }
 
-/// Runs `shard`: loads the snapshot (any format version), splits its
-/// documents into `shards` v2 artifacts under `out_dir`, and writes
+/// Runs `shard`: loads the snapshot, splits its documents into `shards`
+/// artifacts under `out_dir`, and writes
 /// `manifest.json`. Returns a human-readable summary.
 pub fn run_shard(
     snapshot: &str,
@@ -552,10 +528,9 @@ pub fn run_shard(
 ) -> Result<String, String> {
     let by = lesm_serve::ShardBy::parse(by)
         .ok_or_else(|| format!("unknown strategy {by:?}; use entity-range or topic-subtree"))?;
-    let snap = match lesm_serve::load_model_file(snapshot).map_err(|e| e.to_string())? {
-        lesm_serve::Model::Owned(snap) => *snap,
-        lesm_serve::Model::Mapped(mapped) => mapped.to_snapshot().map_err(|e| e.to_string())?,
-    };
+    let lesm_serve::Model::Mapped(mapped) =
+        lesm_serve::load_model_file(snapshot).map_err(|e| e.to_string())?;
+    let snap = mapped.to_snapshot().map_err(|e| e.to_string())?;
     let manifest = lesm_serve::write_shards(
         &snap.corpus,
         &snap.mined,
@@ -576,7 +551,7 @@ pub fn run_shard(
 /// What `lesm serve` was pointed at.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ServeInput {
-    /// A single `.lesm` artifact (either format version).
+    /// A single `.lesm` artifact.
     Artifact,
     /// A shard `manifest.json` — boot shard servers plus a front.
     Manifest,
@@ -633,7 +608,7 @@ fn author_type(corpus: &Corpus) -> Result<usize, String> {
         .ok_or_else(|| "corpus has no 'author' entity type".into())
 }
 
-/// Runs `query`: loads the snapshot (either format version), builds the
+/// Runs `query`: loads the snapshot, builds the
 /// query index, and executes the JSON program — the same
 /// `lesm_query::run_query` code path a server's `POST /query` runs, so
 /// the returned response is byte-identical to a served response body
@@ -656,9 +631,9 @@ pub fn run_query_input(snapshot: &str, query: &str) -> Result<String, String> {
 /// documents to its corpus, refines the structure by warm-started
 /// incremental EM under the given budget, and publishes the result — as
 /// the store's next version, or atomically over the snapshot file. The
-/// published artifact is always format v2 and carries delta lineage
-/// unless the update chain exceeded `max_delta_chain`, in which case it
-/// is written compacted (no lineage) and the chain restarts.
+/// published artifact carries delta lineage unless the update chain
+/// exceeded `max_delta_chain`, in which case it is written compacted (no
+/// lineage) and the chain restarts.
 ///
 /// Determinism: the same base plus the same delta file produces a
 /// byte-identical artifact, for any `threads` value.
@@ -682,16 +657,10 @@ pub fn run_update(
             path.file_name().and_then(|n| n.to_str()).unwrap_or(target).to_string();
         (name, lesm_serve::load_model_file(target).map_err(|e| e.to_string())?)
     };
-    // Lineage only travels on v2 artifacts; a v1 base starts a new chain.
-    let base_chain = match &model {
-        lesm_serve::Model::Mapped(m) => m.delta_info().map_or(0, |d| d.chain_depth),
-        lesm_serve::Model::Owned(_) => 0,
-    };
-    let snap = match model {
-        lesm_serve::Model::Owned(snap) => *snap,
-        lesm_serve::Model::Mapped(m) => m.to_snapshot().map_err(|e| e.to_string())?,
-    };
-    let lesm_serve::Snapshot { corpus: mut merged, mined: base } = snap;
+    let lesm_serve::Model::Mapped(mapped) = model;
+    let base_chain = mapped.delta_info().map_or(0, |d| d.chain_depth);
+    let lesm_serve::Snapshot { corpus: mut merged, mined: base } =
+        mapped.to_snapshot().map_err(|e| e.to_string())?;
     let base_docs = merged.num_docs();
     let base_words = merged.num_words();
     let base_entities: Vec<u64> =
@@ -840,20 +809,6 @@ mod tests {
                 threads: 0,
                 em_tol: 0.0,
                 par_threshold: Some(0),
-                format: 2
-            }
-        );
-        assert_eq!(
-            parse_args(&s(&["snapshot", "in.tsv", "out.lesm", "--format", "v1"])).unwrap(),
-            Command::Snapshot {
-                input: "in.tsv".into(),
-                output: "out.lesm".into(),
-                k: 4,
-                depth: 2,
-                threads: 0,
-                em_tol: 0.0,
-                par_threshold: None,
-                format: 1
             }
         );
         assert_eq!(
@@ -914,7 +869,7 @@ mod tests {
         assert!(parse_args(&s(&["serve", "m.lesm", "--workers", "0"])).is_err());
         assert!(parse_args(&s(&["serve", "m.lesm", "--cache", "0"])).is_err());
         assert!(parse_args(&s(&["serve", "m.lesm", "--queue", "0"])).is_err());
-        assert!(parse_args(&s(&["snapshot", "in.tsv", "out.lesm", "--format", "v3"])).is_err());
+        assert!(parse_args(&s(&["snapshot", "in.tsv", "out.lesm", "--format", "v2"])).is_err());
         assert!(parse_args(&s(&["snapshot", "inspect"])).is_err());
         assert!(parse_args(&s(&["snapshot", "inspect", "a.lesm", "b.lesm"])).is_err());
         assert!(parse_args(&s(&["shard", "a.lesm"])).is_err());

@@ -1,6 +1,7 @@
 //! CLI integration tests for the snapshot/serve subsystem: `snapshot`
 //! writes a loadable `.lesm` artifact, `search` answers from either input
-//! kind with identical output, and the snapshot path never re-runs EM.
+//! kind with identical output, the snapshot path never re-runs EM, and
+//! short or foreign-version artifacts are typed errors.
 
 use lesm_cli::{load_corpus, parse_args, run_search, run_search_input, run_snapshot, Command};
 use lesm_corpus::io::write_tsv;
@@ -37,7 +38,7 @@ fn snapshot_search_matches_tsv_search_and_never_reruns_em() {
     let lesm = temp_path("roundtrip.lesm");
 
     let summary =
-        run_snapshot(&corpus, lesm.to_str().unwrap(), 2, 1, 1, 0.0, 2).expect("snapshot");
+        run_snapshot(&corpus, lesm.to_str().unwrap(), 2, 1, 1, 0.0).expect("snapshot");
     assert!(summary.contains("topics"), "unexpected summary: {summary}");
     assert!(lesm_serve::is_snapshot_file(lesm.to_str().unwrap()));
     assert!(!lesm_serve::is_snapshot_file(tsv.to_str().unwrap()));
@@ -78,7 +79,7 @@ fn snapshot_search_matches_tsv_search_and_never_reruns_em() {
 fn corrupted_snapshot_is_a_clean_error() {
     let corpus = synth_corpus(200, 5);
     let lesm = temp_path("corrupt.lesm");
-    run_snapshot(&corpus, lesm.to_str().unwrap(), 2, 1, 1, 0.0, 2).expect("snapshot");
+    run_snapshot(&corpus, lesm.to_str().unwrap(), 2, 1, 1, 0.0).expect("snapshot");
     let mut bytes = std::fs::read(&lesm).unwrap();
     let mid = bytes.len() / 2;
     bytes[mid] ^= 0xff;
@@ -96,12 +97,11 @@ fn s(v: &[&str]) -> Vec<String> {
 #[test]
 fn parse_snapshot_subcommand() {
     match parse_args(&s(&["snapshot", "in.tsv", "out.lesm"])).unwrap() {
-        Command::Snapshot { input, output, k, depth, threads, em_tol, par_threshold, format } => {
+        Command::Snapshot { input, output, k, depth, threads, em_tol, par_threshold } => {
             assert_eq!((input.as_str(), output.as_str()), ("in.tsv", "out.lesm"));
             assert_eq!((k, depth, threads), (4, 2, 0));
             assert_eq!(em_tol, 0.0);
             assert_eq!(par_threshold, None);
-            assert_eq!(format, 2, "v2 is the default artifact format");
         }
         other => panic!("expected Snapshot, got {other:?}"),
     }
@@ -111,6 +111,61 @@ fn parse_snapshot_subcommand() {
     }
     assert!(parse_args(&s(&["snapshot", "only-input"])).is_err());
     assert!(parse_args(&s(&["snapshot", "a", "b", "--k", "0"])).is_err());
+    // There is one artifact format, so there is no format option.
+    assert!(parse_args(&s(&["snapshot", "a", "b", "--format", "v2"])).is_err());
+}
+
+/// Runs the `lesm` binary; returns (exit code, stderr).
+fn run_lesm(args: &[&str]) -> (Option<i32>, String) {
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_lesm"))
+        .args(args)
+        .output()
+        .expect("run lesm");
+    (out.status.code(), String::from_utf8_lossy(&out.stderr).into_owned())
+}
+
+#[test]
+fn short_artifacts_are_typed_truncation_errors() {
+    // A shutdown file that already exists: should `serve` ever start, it
+    // stops at once instead of hanging the test.
+    let stop = temp_path("short-stop");
+    std::fs::write(&stop, b"").unwrap();
+    for head in [&b"LESM"[..], &b"LESM\x02\x00"[..]] {
+        let path = temp_path(&format!("short-{}.lesm", head.len()));
+        std::fs::write(&path, head).unwrap();
+        let p = path.to_str().unwrap();
+        let want = format!("snapshot truncated at byte 0: needed 8 bytes, {} available", head.len());
+        let err = run_search_input(p, "mining", 2, 1).expect_err("short artifact must not load");
+        assert_eq!(err, want);
+        for args in [
+            vec!["search", p, "mining"],
+            vec!["serve", p, "--addr", "127.0.0.1:0", "--shutdown-file", stop.to_str().unwrap()],
+        ] {
+            let (code, stderr) = run_lesm(&args);
+            assert_eq!(code, Some(1), "{args:?}: {stderr}");
+            assert!(stderr.contains(&want), "{args:?}: {stderr}");
+        }
+        std::fs::remove_file(path).ok();
+    }
+    std::fs::remove_file(stop).ok();
+}
+
+#[test]
+fn format_v1_artifacts_are_version_mismatches() {
+    // The magic plus version 1, then filler: v1 is no longer written or
+    // read, so this header stands in for any file an old build produced.
+    let mut bytes = b"LESM".to_vec();
+    bytes.extend_from_slice(&1u32.to_le_bytes());
+    bytes.extend_from_slice(&[0u8; 64]);
+    let path = temp_path("v1.lesm");
+    std::fs::write(&path, &bytes).unwrap();
+    let p = path.to_str().unwrap();
+    let want = "snapshot format version 1 unsupported (this build reads 2)";
+    assert_eq!(run_search_input(p, "mining", 2, 1).expect_err("v1 must not load"), want);
+    let (code, stderr) = run_lesm(&["search", p, "mining"]);
+    assert_eq!(code, Some(1), "{stderr}");
+    assert!(stderr.contains(want), "{stderr}");
+    std::fs::remove_file(path).ok();
 }
 
 #[test]

@@ -98,8 +98,7 @@ mod tests {
         let mut c = Corpus::default();
         let a = c.entities.add_type("author");
         for &(year, authors) in &[(2000, [0u32, 1].as_slice()), (2001, &[1, 2]), (2002, &[1])] {
-            let mut doc = Doc::default();
-            doc.year = Some(year);
+            let mut doc = Doc { year: Some(year), ..Doc::default() };
             for &id in authors {
                 while c.entities.count(a) <= id as usize {
                     let next = c.entities.count(a);

@@ -67,25 +67,28 @@ pub fn check_finite(mined: &MinedStructure) -> Result<(), String> {
 
 /// Exports the structure and checks the JSON is structurally balanced.
 pub fn check_export(corpus: &Corpus, mined: &MinedStructure) -> Result<String, String> {
-    let json = hierarchy_to_json(corpus, mined, 10);
+    let json = hierarchy_to_json(&(corpus, mined), 10);
     if !is_balanced_json(&json) {
         return Err("hierarchy_to_json produced unbalanced JSON".into());
     }
     Ok(json)
 }
 
-/// Round-trips the structure through the snapshot store and checks
-/// `save(load(save(x))) == save(x)` byte-for-byte plus export equality of
-/// the reloaded structure.
+/// Round-trips the structure through a snapshot artifact — save, map,
+/// decode, re-save — and checks that the re-save is byte-identical and
+/// that the decoded structure exports the same JSON.
 pub fn check_snapshot_roundtrip(
     corpus: &Corpus,
     mined: &MinedStructure,
     json: &str,
 ) -> Result<(), String> {
-    let bytes = lesm_serve::save_snapshot(corpus, mined).map_err(|e| format!("save_snapshot: {e}"))?;
-    let snap = lesm_serve::load_snapshot(&bytes).map_err(|e| format!("load_snapshot: {e}"))?;
-    let again = lesm_serve::save_snapshot(&snap.corpus, &snap.mined)
-        .map_err(|e| format!("save_snapshot (re-save): {e}"))?;
+    let bytes =
+        lesm_serve::save_snapshot_v2(corpus, mined).map_err(|e| format!("save_snapshot_v2: {e}"))?;
+    let snap = lesm_serve::MappedSnapshot::from_bytes(&bytes)
+        .and_then(|m| m.to_snapshot())
+        .map_err(|e| format!("map + decode: {e}"))?;
+    let again = lesm_serve::save_snapshot_v2(&snap.corpus, &snap.mined)
+        .map_err(|e| format!("save_snapshot_v2 (re-save): {e}"))?;
     if again != bytes {
         return Err(format!(
             "snapshot re-save differs: {} vs {} bytes",

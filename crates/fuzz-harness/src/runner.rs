@@ -3,6 +3,7 @@
 
 use crate::check::{check_export, check_finite, check_snapshot_roundtrip};
 use crate::gen::{case, Case};
+use lesm_core::ModelView;
 use lesm_core::pipeline::{LatentStructureMiner, MinedStructure};
 use lesm_corpus::Corpus;
 use lesm_eval::pmi::{pmi_topic, CoOccurrenceStats};
@@ -102,11 +103,11 @@ fn drive_mined(corpus: &Corpus, mined: &MinedStructure) -> Result<(), String> {
         queries.push(corpus.vocab.render(&[0]));
     }
     for q in &queries {
-        let hits = lesm_core::search::search(corpus, mined, q, 10);
+        let hits = lesm_core::search::search(&(corpus, mined), q, 10);
         if let Some(h) = hits.iter().find(|h| !h.score.is_finite()) {
             return Err(format!("search({q:?}) hit doc {} has score {}", h.doc, h.score));
         }
-        let lines = lesm_core::search::render_hits(corpus, mined, &hits);
+        let lines = lesm_core::search::render_hits(&(corpus, mined), &hits);
         if lines.len() != hits.len() {
             return Err("render_hits dropped or invented lines".into());
         }
@@ -115,7 +116,7 @@ fn drive_mined(corpus: &Corpus, mined: &MinedStructure) -> Result<(), String> {
     // Render every topic, plus an out-of-range probe through the public
     // length check the server uses.
     for t in 0..mined.hierarchy.len() {
-        let _ = mined.render_topic(corpus, t, 10);
+        let _ = lesm_core::export::render_topic(&(corpus, mined), t, 10);
     }
 
     // Coherence eval over the top phrases: finite even on empty corpora.
@@ -165,13 +166,11 @@ pub fn run_server_case(id: usize) -> Result<Vec<String>, CaseFailure> {
         Ok(Err(_)) => return Ok(Vec::new()),
         Ok(Ok(m)) => m,
     };
-    let bytes = match lesm_serve::save_snapshot(&corpus, &mined) {
-        Ok(b) => b,
-        Err(e) => return Err(fail(format!("save_snapshot: {e}"))),
-    };
-    let snap = match lesm_serve::load_snapshot(&bytes) {
-        Ok(s) => s,
-        Err(e) => return Err(fail(format!("load_snapshot: {e}"))),
+    let mapped = match lesm_serve::save_snapshot_v2(&corpus, &mined)
+        .and_then(|bytes| lesm_serve::MappedSnapshot::from_bytes(&bytes))
+    {
+        Ok(m) => m,
+        Err(e) => return Err(fail(format!("save + map: {e}"))),
     };
     let server_config = lesm_serve::ServerConfig {
         addr: "127.0.0.1:0".into(),
@@ -179,9 +178,12 @@ pub fn run_server_case(id: usize) -> Result<Vec<String>, CaseFailure> {
         cache_capacity: 4,
         ..lesm_serve::ServerConfig::default()
     };
-    let handle = match lesm_serve::Server::start(snap, server_config) {
+    let handle = match lesm_serve::Server::start_model(
+        lesm_serve::Model::Mapped(Box::new(mapped)),
+        server_config,
+    ) {
         Ok(h) => h,
-        Err(e) => return Err(fail(format!("Server::start: {e}"))),
+        Err(e) => return Err(fail(format!("Server::start_model: {e}"))),
     };
     let addr = handle.addr();
     let targets = [
@@ -232,10 +234,11 @@ fn http_get(addr: &str, target: &str) -> Result<String, String> {
 }
 
 /// Round-trips structures whose floats are raw non-finite bit patterns
-/// (NaN, ±inf, signaling-NaN payloads) through the snapshot store: save →
-/// load → save must be byte-identical (floats travel as raw bits) and the
-/// JSON export of the loaded structure must stay balanced, with every
-/// non-finite score rendered as `null`, never as a bare `NaN`/`inf` token.
+/// (NaN, ±inf, signaling-NaN payloads) through a snapshot artifact (see
+/// [`check_snapshot_roundtrip`]: the re-save must be byte-identical, since
+/// floats travel as raw bits), and checks the JSON export stays balanced,
+/// with every non-finite score rendered as `null`, never as a bare
+/// `NaN`/`inf` token.
 pub fn run_nonfinite_snapshot_cases() -> Vec<CaseFailure> {
     use lesm_hier::hierarchy::{HierTopic, TopicHierarchy};
     use lesm_phrases::TopicalPhrase;
@@ -286,40 +289,16 @@ pub fn run_nonfinite_snapshot_cases() -> Vec<CaseFailure> {
             label: format!("nonfinite-snapshot bits={bits:#018x}"),
             detail,
         };
-        let bytes = match lesm_serve::save_snapshot(&corpus, &mined) {
-            Ok(b) => b,
-            Err(e) => {
-                failures.push(fail(format!("save_snapshot: {e}")));
-                continue;
+        let checked = check_export(&corpus, &mined)
+            .and_then(|json| check_snapshot_roundtrip(&corpus, &mined, &json).map(|()| json));
+        match checked {
+            Err(detail) => failures.push(fail(detail)),
+            // The vocabulary is a single tame word, so a bare non-finite
+            // token can only come from a float that leaked past json_number.
+            Ok(json) if json.contains("NaN") || json.contains("inf") => {
+                failures.push(fail(format!("non-finite token leaked into JSON: {json}")));
             }
-        };
-        let snap = match lesm_serve::load_snapshot(&bytes) {
-            Ok(s) => s,
-            Err(e) => {
-                failures.push(fail(format!("load_snapshot: {e}")));
-                continue;
-            }
-        };
-        let again = match lesm_serve::save_snapshot(&snap.corpus, &snap.mined) {
-            Ok(b) => b,
-            Err(e) => {
-                failures.push(fail(format!("save_snapshot (re-save): {e}")));
-                continue;
-            }
-        };
-        if again != bytes {
-            failures.push(fail("re-save not byte-identical".into()));
-            continue;
-        }
-        let json = lesm_core::export::hierarchy_to_json(&snap.corpus, &snap.mined, 10);
-        if !lesm_core::export::is_balanced_json(&json) {
-            failures.push(fail("unbalanced JSON after round-trip".into()));
-            continue;
-        }
-        // The vocabulary is a single tame word, so a bare non-finite token
-        // can only come from a float that leaked past json_number.
-        if json.contains("NaN") || json.contains("inf") {
-            failures.push(fail(format!("non-finite token leaked into JSON: {json}")));
+            Ok(_) => {}
         }
     }
     failures

@@ -36,7 +36,6 @@ use crate::FileViolation;
 /// snapshots, cursors, or HTTP responses, all of which must be
 /// byte-identical across runs.
 const WIRE_FILES: &[&str] = &[
-    "crates/serve/src/snapshot.rs",
     "crates/serve/src/v2.rs",
     "crates/serve/src/wire.rs",
     "crates/serve/src/http.rs",

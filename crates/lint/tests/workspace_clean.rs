@@ -32,7 +32,7 @@ fn workspace_walk_covers_the_library_crates() {
     let root = workspace_root();
     for rel in [
         "crates/core/src/lib.rs",
-        "crates/serve/src/snapshot.rs",
+        "crates/serve/src/v2.rs",
         "crates/relations/src/preprocess.rs",
     ] {
         assert!(root.join(rel).exists(), "expected governed file missing: {rel}");

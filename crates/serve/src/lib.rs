@@ -3,10 +3,11 @@
 //!
 //! Two layers:
 //!
-//! 1. **Snapshot store** ([`snapshot`]): a versioned binary artifact
-//!    format (`.lesm`) persisting a [`lesm_core::MinedStructure`] plus the
-//!    query-time slice of the corpus, with a checksummed, sectioned,
-//!    length-prefixed layout and typed load errors. `load(save(m))` is
+//! 1. **Snapshot artifacts** ([`v2`]): the one `.lesm` format (version
+//!    2) persisting a [`lesm_core::MinedStructure`] plus the query-time
+//!    slice of the corpus — a checksummed, fixed-offset section table over
+//!    64-byte-aligned arenas that load zero-copy through a memory mapping,
+//!    with typed load errors. `to_snapshot(map(save(m)))` is
 //!    bit-identical to `m`.
 //! 2. **Query server** ([`server`]): a dependency-free `std::net`
 //!    HTTP/1.1 server with a fixed worker thread pool over `std::sync::mpsc`
@@ -19,6 +20,9 @@
 //!
 //! Serving is deterministic: every endpoint's response is byte-identical
 //! to the offline CLI output for the same snapshot, for any worker count.
+//! Both run the same query code: `lesm_core`'s search and rendering,
+//! written once over [`lesm_core::ModelView`], which
+//! [`MappedSnapshot`] implements.
 
 // DESIGN.md §10: library code must surface typed errors, not unwraps.
 #![cfg_attr(not(test), warn(clippy::unwrap_used))]
@@ -32,7 +36,6 @@ pub mod metrics;
 pub mod query;
 pub mod server;
 pub mod shard;
-pub mod snapshot;
 pub mod store;
 pub mod v2;
 pub mod wire;
@@ -43,14 +46,10 @@ pub use metrics::Metrics;
 pub use query::{load_model_file, Model};
 pub use server::{Server, ServerConfig, ServerHandle};
 pub use shard::{load_manifest, shard_model, write_shards, ShardBy, ShardManifest};
-pub use snapshot::{
-    is_snapshot_bytes, is_snapshot_file, load_snapshot, load_snapshot_file, save_snapshot,
-    save_snapshot_file, Snapshot, FORMAT_VERSION, MAGIC,
-};
 pub use v2::{
-    describe_artifact, describe_artifact_file, save_snapshot_v2, save_snapshot_v2_file,
-    save_snapshot_v2_with_ids, save_snapshot_v2_with_lineage, snapshot_version_file, DeltaInfo,
-    MappedSnapshot, FORMAT_VERSION_V2,
+    describe_artifact, describe_artifact_file, is_snapshot_bytes, is_snapshot_file,
+    save_snapshot_v2, save_snapshot_v2_file, save_snapshot_v2_with_ids,
+    save_snapshot_v2_with_lineage, DeltaInfo, MappedSnapshot, Snapshot, FORMAT_VERSION_V2, MAGIC,
 };
 
 /// Typed failures loading or saving snapshot artifacts.
@@ -115,7 +114,7 @@ impl std::fmt::Display for SnapshotError {
         match self {
             SnapshotError::Io(e) => write!(f, "snapshot I/O: {e}"),
             SnapshotError::BadMagic { found } => {
-                write!(f, "not a snapshot: bad magic {found:?} (expected {:?})", snapshot::MAGIC)
+                write!(f, "not a snapshot: bad magic {found:?} (expected {:?})", v2::MAGIC)
             }
             SnapshotError::VersionMismatch { found, supported } => {
                 write!(f, "snapshot format version {found} unsupported (this build reads {supported})")

@@ -12,9 +12,8 @@
 //!
 //! A server runs one of two backends:
 //!
-//! * **Local**: an owned v1 [`Snapshot`] or a zero-copy mapped v2
-//!   artifact, behind [`Model`]. The model sits in an `RwLock<Arc<..>>`
-//!   so a store watcher can hot-swap versions under live traffic: each
+//! * **Local**: a zero-copy mapped snapshot behind [`Model`]. The model
+//!   sits in an `RwLock<Arc<..>>` so a store watcher can hot-swap versions under live traffic: each
 //!   request clones the `Arc` once and keeps that model for its whole
 //!   lifetime, the swap repoints the lock and clears the response cache.
 //! * **Front**: no model; fan-out over the shards of a manifest
@@ -30,7 +29,6 @@ use crate::front::Front;
 use crate::http::{parse_request, HttpParseError, Request, Response};
 use crate::metrics::{Endpoint, Metrics};
 use crate::query::Model;
-use crate::snapshot::Snapshot;
 use crate::ServeError;
 use lesm_query::QueryIndex;
 use std::io::BufReader;
@@ -155,13 +153,7 @@ impl ServerState {
 pub struct Server;
 
 impl Server {
-    /// Serves an owned v1 snapshot (the original, still-supported entry
-    /// point).
-    pub fn start(snapshot: Snapshot, config: ServerConfig) -> Result<ServerHandle, ServeError> {
-        Self::start_model(Model::Owned(Box::new(snapshot)), config)
-    }
-
-    /// Serves any loaded model (owned v1 or mapped v2).
+    /// Serves a loaded model.
     pub fn start_model(model: Model, config: ServerConfig) -> Result<ServerHandle, ServeError> {
         Self::start_backend(Backend::Local(RwLock::new(Arc::new(model))), config)
     }

@@ -1,11 +1,13 @@
-//! Snapshot format v2 — the zero-copy, mmap-friendly layout (DESIGN.md
-//! §13).
+//! The snapshot artifact format (`.lesm`, format version 2): the
+//! zero-copy, mmap-friendly layout every mined model is persisted in
+//! (DESIGN.md §13). This module owns the format: writer, loader, typed
+//! accessors, and inspection.
 //!
-//! v1 (see [`crate::snapshot`]) is a streaming wire format: loading it
-//! deserializes every record into heap-allocated structures, which is
-//! fine at 400 documents and fatal at 400k. v2 keeps the same *values*
-//! (floats as raw little-endian bits, maps in sorted-key order — the v1
-//! semantics) but lays the hot query-time data out as alignment-padded
+//! A streaming wire format would deserialize every record into
+//! heap-allocated structures on load, which is fine at 400 documents and
+//! fatal at 400k. This layout stores floats as raw little-endian bits and
+//! hash maps in sorted-key order, so a save is a deterministic function
+//! of the value, and lays the hot query-time data out as alignment-padded
 //! arenas behind a fixed-offset section table, so the load hot path is:
 //!
 //! 1. map the file ([`crate::mapping::Mapping`]: `mmap` or an aligned
@@ -35,8 +37,9 @@
 //! the mapping base is at least 8-byte aligned, every array view is
 //! correctly aligned for its element type. The rarely-read remainder of
 //! the model (EM fits, per-topic phi/networks, entity links, segments)
-//! lives in a single *cold* section in the v1 wire encoding, decoded only
-//! by [`MappedSnapshot::to_snapshot`] — never on the load hot path.
+//! lives in a single *cold* section in the length-prefixed
+//! [`crate::wire`] encoding, decoded only by
+//! [`MappedSnapshot::to_snapshot`] — never on the load hot path.
 //!
 //! Incrementally updated artifacts carry one extra *optional* section,
 //! `delta-lineage` (id 11, [`DeltaInfo`]): the artifact stays full and
@@ -45,18 +48,49 @@
 //! know the id skip it (the section table tolerates unknown ids).
 
 use crate::mapping::Mapping;
-use crate::snapshot::{self, Snapshot, MAGIC};
 use crate::wire::{ByteReader, ByteWriter};
 use crate::SnapshotError;
 use lesm_core::pipeline::MinedStructure;
+use lesm_core::view::ModelView;
 use lesm_corpus::{Corpus, Doc, EntityRef};
+use lesm_hier::em::EmFit;
 use lesm_hier::hierarchy::HierTopic;
 use lesm_hier::TopicHierarchy;
+use lesm_net::{LinkBlock, TypedNetwork};
 use std::collections::HashMap;
 use std::sync::Arc;
 
-/// The v2 format version tag.
+/// Magic bytes opening every snapshot artifact.
+pub const MAGIC: [u8; 4] = *b"LESM";
+/// The format version this build writes and reads; any other version is
+/// a typed [`SnapshotError::VersionMismatch`].
 pub const FORMAT_VERSION_V2: u32 = 2;
+
+/// A fully decoded snapshot: the query-time corpus slice plus the mined
+/// structure (see [`MappedSnapshot::to_snapshot`]).
+#[derive(Debug)]
+pub struct Snapshot {
+    /// Vocabulary, entity catalog, and document tokens/entities.
+    pub corpus: Corpus,
+    /// The mined structure served to queries.
+    pub mined: MinedStructure,
+}
+
+/// Whether `prefix` starts with the snapshot magic (format sniffing for
+/// CLI inputs that may be either TSV or `.lesm`).
+pub fn is_snapshot_bytes(prefix: &[u8]) -> bool {
+    prefix.len() >= MAGIC.len() && prefix[..MAGIC.len()] == MAGIC
+}
+
+/// Whether the file at `path` begins with the snapshot magic.
+pub fn is_snapshot_file(path: &str) -> bool {
+    use std::io::Read as _;
+    let mut head = [0u8; 4];
+    match std::fs::File::open(path) {
+        Ok(mut f) => f.read_exact(&mut head).is_ok() && is_snapshot_bytes(&head),
+        Err(_) => false,
+    }
+}
 
 const SEC_VOCAB: u32 = 1;
 const SEC_ENTITIES: u32 = 2;
@@ -118,8 +152,8 @@ pub struct DeltaInfo {
 }
 
 /// 4-lane FNV-1a over 8-byte words. The independent lanes break the
-/// sequential multiply dependency chain (≈4x throughput over the byte
-/// FNV used by v1) while staying a pure deterministic function of the
+/// sequential multiply dependency chain (≈4x throughput over a byte-wise
+/// FNV) while staying a pure deterministic function of the
 /// word sequence; the fold hashes the lane digests plus the word count.
 pub(crate) fn checksum_words(words: &[u64]) -> u64 {
     const BASIS: u64 = 0xcbf2_9ce4_8422_2325;
@@ -379,7 +413,7 @@ pub fn save_snapshot_v2_with_lineage(
     }
     table.push((SEC_TOPIC_ENTITIES, start as u64, (w.buf.len() - start) as u64));
 
-    // --- phrase-topic frequency tables (sorted-key order, as v1) ---
+    // --- phrase-topic frequency tables (sorted-key order) ---
     let start = w.begin_section();
     {
         let tables: Vec<Vec<(&Vec<u32>, f64)>> = mined
@@ -443,7 +477,7 @@ pub fn save_snapshot_v2_with_lineage(
     }
     table.push((SEC_DOC_IDS, start as u64, (w.buf.len() - start) as u64));
 
-    // --- cold remainder (v1 wire encoding; only to_snapshot reads it) ---
+    // --- cold remainder (wire encoding; only to_snapshot reads it) ---
     let start = w.begin_section();
     {
         let mut cw = ByteWriter::new();
@@ -458,11 +492,11 @@ pub fn save_snapshot_v2_with_lineage(
             for row in &topic.phi {
                 cw.put_f64_seq(row);
             }
-            snapshot::encode_network(&mut cw, &topic.network);
+            encode_network(&mut cw, &topic.network);
         }
         cw.put_usize(h.fits.len());
         for fit in &h.fits {
-            cw.put_option(fit.as_ref(), snapshot::encode_fit);
+            cw.put_option(fit.as_ref(), encode_fit);
         }
         cw.put_usize(h.alphas.len());
         for alpha in &h.alphas {
@@ -856,148 +890,13 @@ impl MappedSnapshot {
         (b[i] as usize, b[i + 1] as usize)
     }
 
-    // --- vocabulary ---
-
-    /// Number of vocabulary words.
-    pub fn num_words(&self) -> usize {
-        self.layout.n_words
-    }
-
-    /// The word's surface form, or `"<unk>"` out of range (matching
-    /// [`lesm_corpus::Vocabulary::name_or_unk`]).
-    pub fn word_or_unk(&self, id: u32) -> &str {
-        if (id as usize) < self.layout.n_words {
-            self.arena_str(self.layout.word_name_offsets, self.layout.word_names, id as usize)
-        } else {
-            "<unk>"
-        }
-    }
-
-    /// The word id for `name` (binary search over the name-sorted id
-    /// permutation; ties resolve to the smallest id, matching first-wins
-    /// interning).
-    pub fn word_id(&self, name: &str) -> Option<u32> {
-        let sorted = self.u32s(self.layout.word_sorted);
-        let at = sorted.partition_point(|&id| {
-            self.arena_str(self.layout.word_name_offsets, self.layout.word_names, id as usize)
-                < name
-        });
-        let &id = sorted.get(at)?;
-        let found =
-            self.arena_str(self.layout.word_name_offsets, self.layout.word_names, id as usize);
-        (found == name).then_some(id)
-    }
-
-    /// Renders token ids joined by spaces (matching
-    /// [`lesm_corpus::Vocabulary::render`]).
-    pub fn render_tokens(&self, ids: &[u32]) -> String {
-        let mut out = String::new();
-        for (i, &id) in ids.iter().enumerate() {
-            if i > 0 {
-                out.push(' ');
-            }
-            out.push_str(self.word_or_unk(id));
-        }
-        out
-    }
-
-    // --- entities ---
-
-    /// Number of entity types.
-    pub fn num_types(&self) -> usize {
-        self.layout.n_types
-    }
-
-    /// Entity type name, if in range.
-    pub fn type_name(&self, t: usize) -> Option<&str> {
-        (t < self.layout.n_types)
-            .then(|| self.arena_str(self.layout.type_name_offsets, self.layout.type_names, t))
-    }
-
-    /// Entity surface name with the `"<unk-entity>"` fallback (matching
-    /// [`lesm_corpus::EntityCatalog::name`]).
-    pub fn entity_name(&self, t: usize, id: u32) -> &str {
-        if t >= self.layout.n_types {
-            return "<unk-entity>";
-        }
-        let (a, b) = self.span(self.layout.type_bounds, t);
-        let global = a + id as usize;
-        if global >= b {
-            return "<unk-entity>";
-        }
-        self.arena_str(self.layout.ent_name_offsets, self.layout.ent_names, global)
-    }
-
-    // --- documents ---
-
-    /// Number of documents in this artifact (shard-local).
-    pub fn num_docs(&self) -> usize {
-        self.layout.n_docs
-    }
-
-    /// Token ids of document `d`.
-    pub fn doc_tokens(&self, d: usize) -> &[u32] {
-        let (a, b) = self.span(self.layout.doc_tok_bounds, d);
-        &self.u32s(self.layout.doc_tokens)[a..b]
-    }
-
-    /// The global id of local document `d` (identity for unsharded
-    /// artifacts).
-    pub fn doc_id(&self, d: usize) -> u64 {
-        self.u64s(self.layout.doc_ids)[d]
-    }
-
-    /// Renders document `d`'s tokens (matching
-    /// [`lesm_corpus::Corpus::render_doc`], which returns `""` out of
-    /// range).
-    pub fn render_doc(&self, d: usize) -> String {
-        if d >= self.layout.n_docs {
-            return String::new();
-        }
-        self.render_tokens(self.doc_tokens(d))
-    }
-
-    // --- topics ---
-
-    /// Number of topics.
-    pub fn num_topics(&self) -> usize {
-        self.layout.n_topics
-    }
-
-    /// Parent topic of `t`.
-    pub fn parent(&self, t: usize) -> Option<usize> {
-        let v = self.u64s(self.layout.parent)[t];
-        (v != u64::MAX).then_some(v as usize)
-    }
-
-    /// Hierarchy level of `t`.
-    pub fn level(&self, t: usize) -> usize {
-        self.u64s(self.layout.level)[t] as usize
-    }
-
-    /// Background mixing weight of `t`.
-    pub fn rho(&self, t: usize) -> f64 {
-        self.f64s(self.layout.rho)[t]
-    }
+    // --- typed array views (the `ModelView` impl builds on these) ---
 
     /// Child topic ids of `t`.
     pub fn children(&self, t: usize) -> &[u64] {
         let (a, b) = self.span(self.layout.child_bounds, t);
         &self.u64s(self.layout.children)[a..b]
     }
-
-    /// Path string of `t` (e.g. `"o/2/1"`).
-    pub fn path(&self, t: usize) -> &str {
-        self.arena_str(self.layout.path_offsets, self.layout.paths, t)
-    }
-
-    /// Leaf topics (no children), ascending (matching
-    /// [`lesm_hier::TopicHierarchy::leaves`]).
-    pub fn leaves(&self) -> Vec<usize> {
-        (0..self.layout.n_topics).filter(|&t| self.children(t).is_empty()).collect()
-    }
-
-    // --- ranked phrases ---
 
     /// Number of ranked phrases for topic `t`.
     pub fn phrase_count(&self, t: usize) -> usize {
@@ -1018,14 +917,6 @@ impl MappedSnapshot {
         )
     }
 
-    // --- ranked entities ---
-
-    /// Number of per-type entity cells for topic `t`.
-    pub fn entity_cells(&self, t: usize) -> usize {
-        let (a, b) = self.span(self.layout.te_cell_bounds, t);
-        b - a
-    }
-
     /// The ranked entity list for topic `t`, type cell `x`: parallel
     /// (ids, scores) slices.
     pub fn topic_entities(&self, t: usize, x: usize) -> (&[u32], &[f64]) {
@@ -1034,17 +925,15 @@ impl MappedSnapshot {
         (&self.u32s(self.layout.te_ids)[ea..eb], &self.f64s(self.layout.te_scores)[ea..eb])
     }
 
-    // --- phrase-topic frequency ---
-
     /// Number of phrase-frequency entries for topic `t`.
     pub fn ptf_count(&self, t: usize) -> usize {
         let (a, b) = self.span(self.layout.ptf_topic_bounds, t);
         b - a
     }
 
-    /// The `i`-th phrase-frequency entry of topic `t` (entries are stored
-    /// in ascending phrase-key order — the same order v1's sorted-key
-    /// serialization and the owned query path's collect-then-sort use).
+    /// The `i`-th phrase-frequency entry of topic `t`. Entries are stored
+    /// in ascending phrase-key order, the order
+    /// [`ModelView::phrase_freqs`] promises.
     pub fn ptf_entry(&self, t: usize, i: usize) -> (&[u32], f64) {
         let (a, _) = self.span(self.layout.ptf_topic_bounds, t);
         let e = a + i;
@@ -1052,26 +941,10 @@ impl MappedSnapshot {
         (&self.u32s(self.layout.ptf_tokens)[ta..tb], self.f64s(self.layout.ptf_freqs)[e])
     }
 
-    // --- doc-topic weights ---
-
     /// Document `d`'s topic weight row.
     pub fn doc_topic_row(&self, d: usize) -> &[f64] {
         let (a, b) = self.span(self.layout.dt_row_bounds, d);
         &self.f64s(self.layout.dt_values)[a..b]
-    }
-
-    /// Document `d`'s weight for topic `t` (0.0 past the row's end).
-    pub fn doc_topic(&self, d: usize, t: usize) -> f64 {
-        self.doc_topic_row(d).get(t).copied().unwrap_or(0.0)
-    }
-
-    /// The leaf topic with the highest weight for document `d` (matching
-    /// [`lesm_core::pipeline::MinedStructure::doc_leaf`]).
-    pub fn doc_leaf(&self, d: usize) -> usize {
-        self.leaves()
-            .into_iter()
-            .max_by(|&a, &b| self.doc_topic(d, a).total_cmp(&self.doc_topic(d, b)))
-            .unwrap_or(0)
     }
 
     // --- full decode (cold path) ---
@@ -1107,7 +980,7 @@ impl MappedSnapshot {
             for _ in 0..n_phi {
                 phi.push(r.get_f64_seq()?);
             }
-            let network = snapshot::decode_network(&mut r)?;
+            let network = decode_network(&mut r)?;
             topics.push(HierTopic {
                 parent: self.parent(t),
                 children: self.children(t).iter().map(|&c| c as usize).collect(),
@@ -1121,7 +994,7 @@ impl MappedSnapshot {
         let n_fits = r.get_len(1)?;
         let mut fits = Vec::with_capacity(n_fits);
         for _ in 0..n_fits {
-            fits.push(r.get_option(snapshot::decode_fit)?);
+            fits.push(r.get_option(decode_fit)?);
         }
         let n_alphas = r.get_len(1)?;
         let mut alphas = Vec::with_capacity(n_alphas);
@@ -1133,7 +1006,7 @@ impl MappedSnapshot {
         // Corpus: hot arenas + cold per-doc extras.
         let mut corpus = Corpus::new();
         for w in 0..crate::wire_u32(self.layout.n_words, "vocab size")? {
-            corpus.vocab.intern(self.word_or_unk(w));
+            corpus.vocab.intern(self.word(w));
         }
         for t in 0..self.layout.n_types {
             let (a, b) = self.span(self.layout.type_bounds, t);
@@ -1237,6 +1110,94 @@ impl MappedSnapshot {
                 doc_topic,
             },
         })
+    }
+}
+
+/// Every accessor borrows from the mapping and reads the stored order:
+/// no query allocates per entry, and the phrase-frequency entries need no
+/// sort because the writer stored them in ascending key order.
+impl ModelView for MappedSnapshot {
+    fn num_topics(&self) -> usize {
+        self.layout.n_topics
+    }
+    fn num_docs(&self) -> usize {
+        self.layout.n_docs
+    }
+    /// Binary search over the name-sorted id permutation; ties resolve to
+    /// the smallest id, matching first-wins interning.
+    fn word_id(&self, name: &str) -> Option<u32> {
+        let sorted = self.u32s(self.layout.word_sorted);
+        let at = sorted.partition_point(|&id| {
+            self.arena_str(self.layout.word_name_offsets, self.layout.word_names, id as usize)
+                < name
+        });
+        let &id = sorted.get(at)?;
+        let found =
+            self.arena_str(self.layout.word_name_offsets, self.layout.word_names, id as usize);
+        (found == name).then_some(id)
+    }
+    fn word(&self, id: u32) -> &str {
+        if (id as usize) < self.layout.n_words {
+            self.arena_str(self.layout.word_name_offsets, self.layout.word_names, id as usize)
+        } else {
+            "<unk>"
+        }
+    }
+    fn doc_tokens(&self, d: usize) -> &[u32] {
+        let (a, b) = self.span(self.layout.doc_tok_bounds, d);
+        &self.u32s(self.layout.doc_tokens)[a..b]
+    }
+    fn doc_id(&self, d: usize) -> u64 {
+        self.u64s(self.layout.doc_ids)[d]
+    }
+    /// 0.0 past the row's end.
+    fn doc_topic(&self, d: usize, t: usize) -> f64 {
+        self.doc_topic_row(d).get(t).copied().unwrap_or(0.0)
+    }
+    fn path(&self, t: usize) -> &str {
+        self.arena_str(self.layout.path_offsets, self.layout.paths, t)
+    }
+    fn parent(&self, t: usize) -> Option<usize> {
+        let v = self.u64s(self.layout.parent)[t];
+        (v != u64::MAX).then_some(v as usize)
+    }
+    fn level(&self, t: usize) -> usize {
+        self.u64s(self.layout.level)[t] as usize
+    }
+    fn rho(&self, t: usize) -> f64 {
+        self.f64s(self.layout.rho)[t]
+    }
+    fn child_topics(&self, t: usize) -> impl Iterator<Item = usize> {
+        self.children(t).iter().map(|&c| c as usize)
+    }
+    fn phrases(&self, t: usize) -> impl Iterator<Item = (&[u32], f64, f64)> {
+        (0..self.phrase_count(t)).map(move |i| self.phrase(t, i))
+    }
+    fn phrase_freqs(&self, t: usize) -> impl Iterator<Item = (&[u32], f64)> {
+        (0..self.ptf_count(t)).map(move |i| self.ptf_entry(t, i))
+    }
+    fn entity_cells(&self, t: usize) -> usize {
+        let (a, b) = self.span(self.layout.te_cell_bounds, t);
+        b - a
+    }
+    fn entities(&self, t: usize, x: usize) -> impl Iterator<Item = (u32, f64)> {
+        let (ids, scores) = self.topic_entities(t, x);
+        ids.iter().copied().zip(scores.iter().copied())
+    }
+    fn type_name(&self, x: usize) -> Option<&str> {
+        (x < self.layout.n_types)
+            .then(|| self.arena_str(self.layout.type_name_offsets, self.layout.type_names, x))
+    }
+    fn entity_name(&self, x: usize, id: u32) -> &str {
+        if x >= self.layout.n_types {
+            return "<unk-entity>";
+        }
+        let (a, b) = self.span(self.layout.type_bounds, x);
+        let global = a + id as usize;
+        if global >= b {
+            return "<unk-entity>";
+        }
+        self.arena_str(self.layout.ent_name_offsets, self.layout.ent_names, global)
     }
 }
 
@@ -1608,25 +1569,145 @@ fn parse_delta(
 }
 
 // ---------------------------------------------------------------------------
-// Version sniffing and inspection
+// Cold-section codecs (length-prefixed wire encoding)
 // ---------------------------------------------------------------------------
 
-/// Reads the format version of the artifact at `path` without loading it.
-pub fn snapshot_version_file(path: &str) -> Result<u32, SnapshotError> {
-    use std::io::Read as _;
-    let mut f = std::fs::File::open(path).map_err(SnapshotError::Io)?;
-    let mut head = [0u8; 8];
-    f.read_exact(&mut head).map_err(SnapshotError::Io)?;
-    let found = [head[0], head[1], head[2], head[3]];
-    if found != MAGIC {
-        return Err(SnapshotError::BadMagic { found });
+fn encode_network(w: &mut ByteWriter, net: &TypedNetwork) {
+    w.put_usize(net.type_names.len());
+    for name in &net.type_names {
+        w.put_str(name);
     }
-    Ok(u32::from_le_bytes([head[4], head[5], head[6], head[7]]))
+    w.put_usize(net.node_counts.len());
+    for &n in &net.node_counts {
+        w.put_usize(n);
+    }
+    w.put_usize(net.blocks.len());
+    for block in &net.blocks {
+        w.put_usize(block.tx);
+        w.put_usize(block.ty);
+        w.put_usize(block.edges.len());
+        for &(i, j, weight) in &block.edges {
+            w.put_u32(i);
+            w.put_u32(j);
+            w.put_f64(weight);
+        }
+    }
 }
 
-/// Renders a deterministic human-readable description of a v1 or v2
-/// artifact: format version, size, checksum status, and the section
-/// table with offsets, lengths, and offset alignment.
+fn decode_network(r: &mut ByteReader) -> Result<TypedNetwork, SnapshotError> {
+    let n_types = r.get_len(8)?;
+    let mut type_names = Vec::with_capacity(n_types);
+    for _ in 0..n_types {
+        type_names.push(r.get_str()?);
+    }
+    let n_counts = r.get_len(8)?;
+    if n_counts != n_types {
+        return Err(SnapshotError::Malformed {
+            offset: r.position(),
+            what: format!("network has {n_types} type names but {n_counts} node counts"),
+        });
+    }
+    let mut node_counts = Vec::with_capacity(n_counts);
+    for _ in 0..n_counts {
+        node_counts.push(r.get_u64()? as usize);
+    }
+    let n_blocks = r.get_len(8)?;
+    let mut net = TypedNetwork::new(type_names, node_counts);
+    for _ in 0..n_blocks {
+        let tx = r.get_u64()? as usize;
+        let ty = r.get_u64()? as usize;
+        let n_edges = r.get_len(16)?;
+        let mut edges = Vec::with_capacity(n_edges);
+        for _ in 0..n_edges {
+            let i = r.get_u32()?;
+            let j = r.get_u32()?;
+            let weight = r.get_f64()?;
+            edges.push((i, j, weight));
+        }
+        net.blocks.push(LinkBlock { tx, ty, edges });
+    }
+    net.validate().map_err(|e| SnapshotError::Malformed {
+        offset: r.position(),
+        what: format!("invalid network: {e}"),
+    })?;
+    Ok(net)
+}
+
+fn encode_fit(w: &mut ByteWriter, fit: &EmFit) {
+    w.put_usize(fit.k);
+    w.put_usize(fit.phi.len());
+    for per_type in &fit.phi {
+        w.put_usize(per_type.len());
+        for row in per_type {
+            w.put_f64_seq(row);
+        }
+    }
+    w.put_usize(fit.phi0.len());
+    for row in &fit.phi0 {
+        w.put_f64_seq(row);
+    }
+    w.put_f64_seq(&fit.rho);
+    w.put_f64_seq(&fit.alpha);
+    w.put_f64_seq(&fit.theta);
+    w.put_f64(fit.objective);
+    w.put_f64_seq(&fit.objective_trace);
+    w.put_f64(fit.loglik);
+    w.put_usize(fit.parent_phi.len());
+    for row in fit.parent_phi.iter() {
+        w.put_f64_seq(row);
+    }
+}
+
+fn decode_fit(r: &mut ByteReader) -> Result<EmFit, SnapshotError> {
+    let k = r.get_u64()? as usize;
+    let n_types = r.get_len(8)?;
+    let mut phi = Vec::with_capacity(n_types);
+    for _ in 0..n_types {
+        let n_rows = r.get_len(8)?;
+        let mut per_type = Vec::with_capacity(n_rows);
+        for _ in 0..n_rows {
+            per_type.push(r.get_f64_seq()?);
+        }
+        phi.push(per_type);
+    }
+    let n_phi0 = r.get_len(8)?;
+    let mut phi0 = Vec::with_capacity(n_phi0);
+    for _ in 0..n_phi0 {
+        phi0.push(r.get_f64_seq()?);
+    }
+    let rho = r.get_f64_seq()?;
+    let alpha = r.get_f64_seq()?;
+    let theta = r.get_f64_seq()?;
+    let objective = r.get_f64()?;
+    let objective_trace = r.get_f64_seq()?;
+    let loglik = r.get_f64()?;
+    let n_parent = r.get_len(8)?;
+    let mut parent_phi = Vec::with_capacity(n_parent);
+    for _ in 0..n_parent {
+        parent_phi.push(r.get_f64_seq()?);
+    }
+    Ok(EmFit {
+        k,
+        phi,
+        phi0,
+        rho,
+        alpha,
+        theta,
+        objective,
+        objective_trace,
+        loglik,
+        parent_phi: Arc::new(parent_phi),
+    })
+}
+
+// ---------------------------------------------------------------------------
+// Inspection
+// ---------------------------------------------------------------------------
+
+/// Renders a deterministic human-readable description of an artifact:
+/// format version, size, checksum status, and the section table with
+/// offsets, lengths, and offset alignment. A checksum mismatch is shown,
+/// not raised, so corrupt artifacts can still be inspected.
 pub fn describe_artifact(bytes: &[u8]) -> Result<String, SnapshotError> {
     use std::fmt::Write as _;
     if bytes.len() < 8 {
@@ -1637,6 +1718,9 @@ pub fn describe_artifact(bytes: &[u8]) -> Result<String, SnapshotError> {
         return Err(SnapshotError::BadMagic { found });
     }
     let version = u32::from_le_bytes([bytes[4], bytes[5], bytes[6], bytes[7]]);
+    if version != FORMAT_VERSION_V2 {
+        return Err(SnapshotError::VersionMismatch { found: version, supported: FORMAT_VERSION_V2 });
+    }
     let mut out = String::new();
     let _ = writeln!(out, "format version: {version}");
     let _ = writeln!(out, "size: {} bytes", bytes.len());
@@ -1648,58 +1732,33 @@ pub fn describe_artifact(bytes: &[u8]) -> Result<String, SnapshotError> {
     let mut w = [0u8; 8];
     w.copy_from_slice(&bytes[trailer_at..]);
     let stored = u64::from_le_bytes(w);
-    let checksum_ok = match version {
-        1 => snapshot::fnv1a64(&bytes[..trailer_at]) == stored,
-        FORMAT_VERSION_V2 => {
-            trailer_at.is_multiple_of(8)
-                && checksum_words(
-                    &bytes[..trailer_at]
-                        .chunks_exact(8)
-                        .map(|c| {
-                            u64::from_le_bytes([c[0], c[1], c[2], c[3], c[4], c[5], c[6], c[7]])
-                        })
-                        .collect::<Vec<u64>>(),
-                ) == stored
-        }
-        other => {
-            return Err(SnapshotError::VersionMismatch {
-                found: other,
-                supported: FORMAT_VERSION_V2,
-            })
-        }
-    };
+    let checksum_ok = trailer_at.is_multiple_of(8)
+        && checksum_words(
+            &bytes[..trailer_at]
+                .chunks_exact(8)
+                .map(|c| u64::from_le_bytes([c[0], c[1], c[2], c[3], c[4], c[5], c[6], c[7]]))
+                .collect::<Vec<u64>>(),
+        ) == stored;
     let _ = writeln!(
         out,
         "checksum: {stored:#018x} ({})",
         if checksum_ok { "ok" } else { "MISMATCH" }
     );
-    // Section table: v1 is (id u32, off u64, len u64) after an 8+4 byte
-    // header; v2 adds a reserved pad word per entry and to the header.
-    let (table_at, entry_len) = if version == 1 { (12, 20) } else { (HEADER_LEN, TABLE_ENTRY_LEN) };
     let count = u32::from_le_bytes([bytes[8], bytes[9], bytes[10], bytes[11]]) as usize;
     let _ = writeln!(out, "sections: {count}");
     let _ = writeln!(out, "  {:>3}  {:<18} {:>12} {:>12} {:>6}", "id", "name", "offset", "length", "align");
     for i in 0..count {
-        let at = table_at + i * entry_len;
-        if at + entry_len > trailer_at {
+        let at = HEADER_LEN + i * TABLE_ENTRY_LEN;
+        if at + TABLE_ENTRY_LEN > trailer_at {
             let _ = writeln!(out, "  <table truncated at entry {i}>");
             break;
         }
         let id = u32::from_le_bytes([bytes[at], bytes[at + 1], bytes[at + 2], bytes[at + 3]]);
-        let field_at = if version == 1 { at + 4 } else { at + 8 };
-        w.copy_from_slice(&bytes[field_at..field_at + 8]);
+        w.copy_from_slice(&bytes[at + 8..at + 16]);
         let off = u64::from_le_bytes(w);
-        w.copy_from_slice(&bytes[field_at + 8..field_at + 16]);
+        w.copy_from_slice(&bytes[at + 16..at + 24]);
         let len = u64::from_le_bytes(w);
-        let name = if version == 1 {
-            match id {
-                1 => "corpus",
-                2 => "structure",
-                _ => "unknown",
-            }
-        } else {
-            v2_section_name(id)
-        };
+        let name = v2_section_name(id);
         let align = if off == 0 { 1 } else { 1u64 << off.trailing_zeros().min(6) };
         let _ = writeln!(out, "  {id:>3}  {name:<18} {off:>12} {len:>12} {align:>6}");
     }

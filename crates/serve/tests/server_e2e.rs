@@ -3,11 +3,13 @@
 //! clients get responses byte-identical to the offline CLI/export output —
 //! for any worker count.
 
+mod common;
+
 use lesm_core::pipeline::{LatentStructureMiner, MinedStructure, MinerConfig};
 use lesm_corpus::synth::{PapersConfig, SyntheticPapers};
 use lesm_corpus::Corpus;
-use lesm_serve::server::{Server, ServerConfig};
-use lesm_serve::{load_snapshot, save_snapshot, ServerHandle};
+use lesm_serve::server::ServerConfig;
+use lesm_serve::ServerHandle;
 use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::time::Duration;
@@ -23,9 +25,7 @@ fn fixture() -> (Corpus, MinedStructure) {
 }
 
 fn start(corpus: &Corpus, mined: &MinedStructure, workers: usize) -> ServerHandle {
-    let snap = load_snapshot(&save_snapshot(corpus, mined).expect("save")).expect("round-trip");
-    let config = ServerConfig { workers, ..ServerConfig::default() };
-    Server::start(snap, config).expect("bind ephemeral port")
+    common::serve(corpus, mined, ServerConfig { workers, ..ServerConfig::default() })
 }
 
 /// Minimal HTTP/1.1 client: one request, reads to EOF (the server sends
@@ -52,9 +52,9 @@ fn get(addr: std::net::SocketAddr, target: &str) -> (u16, Vec<u8>) {
 /// The offline rendering `/search` must match byte-for-byte: one CLI hit
 /// line per result, each newline-terminated.
 fn offline_search_body(corpus: &Corpus, mined: &MinedStructure, query: &str, top: usize) -> Vec<u8> {
-    let hits = lesm_core::search::search(corpus, mined, query, top);
+    let hits = lesm_core::search::search(&(corpus, mined), query, top);
     let mut body = String::new();
-    for line in lesm_core::search::render_hits(corpus, mined, &hits) {
+    for line in lesm_core::search::render_hits(&(corpus, mined), &hits) {
         body.push_str(&line);
         body.push('\n');
     }
@@ -78,12 +78,12 @@ fn responses_are_byte_identical_to_offline_output() {
 
     let (status, body) = get(addr, "/hierarchy");
     assert_eq!(status, 200);
-    assert_eq!(body, lesm_core::export::hierarchy_to_json(&corpus, &mined, 10).into_bytes());
+    assert_eq!(body, lesm_core::export::hierarchy_to_json(&(&corpus, &mined), 10).into_bytes());
 
     for t in 0..mined.hierarchy.len() {
         let (status, body) = get(addr, &format!("/topics/{t}"));
         assert_eq!(status, 200, "topic {t}");
-        let mut expected = mined.render_topic(&corpus, t, 10);
+        let mut expected = lesm_core::export::render_topic(&(&corpus, &mined), t, 10);
         expected.push('\n');
         assert_eq!(body, expected.into_bytes(), "topic {t}");
     }
@@ -135,11 +135,15 @@ fn concurrent_clients_all_get_identical_correct_bodies() {
         c.join().expect("client thread");
     }
 
-    // 64 identical requests: exactly one cache miss, the rest hits.
+    // 64 identical requests. The cache fill is not single-flight (a
+    // worker gets, computes, then puts), so each of the 4 workers may miss
+    // once before the first put lands; every request is still counted
+    // once, and one response ends up cached.
     let m = handle.metrics();
-    assert_eq!(m.requests(lesm_serve::metrics::Endpoint::Search), 64);
-    assert_eq!(m.cache_misses(lesm_serve::metrics::Endpoint::Search), 1);
-    assert_eq!(m.cache_hits(lesm_serve::metrics::Endpoint::Search), 63);
+    let search = lesm_serve::metrics::Endpoint::Search;
+    assert_eq!(m.requests(search), 64);
+    assert_eq!(m.cache_hits(search) + m.cache_misses(search), 64);
+    assert!((1..=4).contains(&m.cache_misses(search)), "misses: {}", m.cache_misses(search));
     assert_eq!(handle.cached_responses(), 1);
     handle.shutdown();
 }
@@ -176,7 +180,6 @@ fn health_metrics_and_errors_are_served() {
 #[test]
 fn shutdown_file_stops_the_server() {
     let (corpus, mined) = fixture();
-    let snap = load_snapshot(&save_snapshot(&corpus, &mined).expect("save")).expect("round-trip");
     let dir = std::env::temp_dir().join(format!("lesm-serve-e2e-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
     let stop_file = dir.join("stop");
@@ -185,7 +188,7 @@ fn shutdown_file_stops_the_server() {
         shutdown_file: Some(stop_file.clone()),
         ..ServerConfig::default()
     };
-    let handle = Server::start(snap, config).expect("bind");
+    let handle = common::serve(&corpus, &mined, config);
     let addr = handle.addr();
     let (status, _) = get(addr, "/healthz");
     assert_eq!(status, 200);

@@ -6,11 +6,13 @@
 //! unsharded server over the full model, for N ∈ {1, 2, 4} and both
 //! document-assignment strategies — including every error path.
 
+mod common;
+
 use lesm_core::pipeline::{LatentStructureMiner, MinedStructure, MinerConfig};
 use lesm_corpus::synth::{PapersConfig, SyntheticPapers};
 use lesm_corpus::Corpus;
 use lesm_serve::server::{Server, ServerConfig};
-use lesm_serve::{load_snapshot, save_snapshot, save_snapshot_v2, ShardBy};
+use lesm_serve::{save_snapshot_v2, ShardBy};
 use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::path::PathBuf;
@@ -85,12 +87,9 @@ const TARGETS: &[&str] = &[
 fn sharded_responses_are_byte_identical_to_a_single_server() {
     let (corpus, mined) = fixture(9);
 
-    // Baseline: one unsharded server over the owned snapshot.
-    let baseline_handle = Server::start(
-        load_snapshot(&save_snapshot(&corpus, &mined).expect("save")).expect("round-trip"),
-        ServerConfig { workers: 2, ..ServerConfig::default() },
-    )
-    .expect("bind baseline");
+    // Baseline: one unsharded server over the whole model.
+    let baseline_handle =
+        common::serve(&corpus, &mined, ServerConfig { workers: 2, ..ServerConfig::default() });
     let baseline: Vec<(u16, Vec<u8>)> =
         TARGETS.iter().map(|t| get(baseline_handle.addr(), t)).collect();
     baseline_handle.shutdown();
@@ -144,7 +143,7 @@ fn hot_swap_serves_the_new_version_without_restart() {
     assert_eq!(before.0, 200);
     assert_eq!(
         before.1,
-        lesm_core::export::hierarchy_to_json(&corpus_a, &mined_a, 10).into_bytes()
+        lesm_core::export::hierarchy_to_json(&(&corpus_a, &mined_a), 10).into_bytes()
     );
     // Prime the cache so the swap also proves cache invalidation.
     assert_eq!(get(addr, "/hierarchy"), before);
@@ -156,7 +155,7 @@ fn hot_swap_serves_the_new_version_without_restart() {
 
     // A good publish swaps within the watcher's poll interval.
     lesm_serve::store::publish(&dir, &save_snapshot_v2(&corpus_b, &mined_b).expect("save")).expect("publish v3");
-    let expected_b = lesm_core::export::hierarchy_to_json(&corpus_b, &mined_b, 10).into_bytes();
+    let expected_b = lesm_core::export::hierarchy_to_json(&(&corpus_b, &mined_b), 10).into_bytes();
     let deadline = std::time::Instant::now() + Duration::from_secs(10);
     loop {
         let (status, body) = get(addr, "/hierarchy");
@@ -176,16 +175,16 @@ fn hot_swap_serves_the_new_version_without_restart() {
 #[test]
 fn full_accept_queue_sheds_with_503_and_recovers() {
     let (corpus, mined) = fixture(9);
-    let handle = Server::start(
-        load_snapshot(&save_snapshot(&corpus, &mined).expect("save")).expect("round-trip"),
+    let handle = common::serve(
+        &corpus,
+        &mined,
         ServerConfig {
             workers: 1,
             queue_depth: 1,
             read_timeout: Duration::from_secs(2),
             ..ServerConfig::default()
         },
-    )
-    .expect("bind");
+    );
     let addr = handle.addr();
 
     // Two idle connections: one occupies the single worker (blocked in
@@ -240,11 +239,8 @@ fn front_composes_over_fronts() {
     )
     .expect("outer front");
 
-    let baseline = Server::start(
-        load_snapshot(&save_snapshot(&corpus, &mined).expect("save")).expect("round-trip"),
-        ServerConfig { workers: 2, ..ServerConfig::default() },
-    )
-    .expect("baseline");
+    let baseline =
+        common::serve(&corpus, &mined, ServerConfig { workers: 2, ..ServerConfig::default() });
     for target in ["/search?q=mining", "/search?q=data+mining&top=4", "/hierarchy", "/topics/1"] {
         assert_eq!(get(outer.addr(), target), get(baseline.addr(), target), "{target}");
     }

@@ -1,33 +1,32 @@
-//! Snapshot format v2 guarantees, mirroring the v1 battery in
-//! `snapshot_proptests.rs`:
+//! Snapshot artifact guarantees:
 //!
-//! 1. `to_snapshot(map(save_v2(m)))` is bit-identical to `m` (checked by
-//!    comparing the deterministic v1 serialization of both, and by
-//!    re-saving v2).
-//! 2. Every *view* query (search, topic rendering, hierarchy JSON) is
-//!    byte-identical to the owned query path — the property the sharded
-//!    serve tier's determinism contract (DESIGN.md §11) rests on.
-//! 3. Version dispatch: v1 artifacts still load as owned snapshots; the
-//!    v2 loader reports v1 input as a typed `VersionMismatch` and vice
-//!    versa.
+//! 1. `to_snapshot(map(save(m)))` equals `m` field by field (floats by
+//!    their bits), and re-saving it reproduces the artifact bit for bit.
+//! 2. Queries over the mapped artifact match the same queries over the
+//!    owned model.
+//! 3. Other formats and versions — a TSV file, a format-v1 header, a
+//!    skewed version field — are typed errors, reported before the
+//!    checksum.
 //! 4. Truncation, byte flips, and misaligned buffers surface as typed
 //!    [`SnapshotError`]s (or load correctly via the aligned-copy
 //!    fallback) — never panics, never silently wrong data.
 
+mod common;
+
+use common::assert_same_model;
 use lesm_core::export::hierarchy_to_json;
 use lesm_core::pipeline::{LatentStructureMiner, MinedStructure, MinerConfig};
-use lesm_core::search::{render_hits, search};
+use lesm_core::ModelView;
 use lesm_corpus::synth::{PapersConfig, SyntheticPapers};
 use lesm_corpus::{Corpus, Doc, EntityRef};
 use lesm_hier::hierarchy::HierTopic;
 use lesm_hier::TopicHierarchy;
 use lesm_net::TypedNetwork;
 use lesm_phrases::TopicalPhrase;
-use lesm_serve::query::{hierarchy_to_json_view, render_topic_view};
 use lesm_serve::{
-    describe_artifact, load_model_file, load_snapshot, save_snapshot, save_snapshot_v2,
-    save_snapshot_v2_with_ids, save_snapshot_v2_with_lineage, DeltaInfo, MappedSnapshot, Model,
-    SnapshotError,
+    describe_artifact, load_model_file, save_snapshot_v2, save_snapshot_v2_with_ids,
+    save_snapshot_v2_with_lineage, DeltaInfo, MappedSnapshot, Model, SnapshotError,
+    FORMAT_VERSION_V2,
 };
 use proptest::collection::vec;
 use proptest::prelude::*;
@@ -45,7 +44,8 @@ fn mined_fixture() -> (Corpus, MinedStructure) {
 }
 
 /// Hand-builds a two-topic structure whose every field is populated from
-/// the given words and raw score bits (same shape as the v1 battery).
+/// the given words and raw score bits, including documents, segments,
+/// topical frequency tables, and doc-topic rows.
 fn synthetic_structure(words: &[String], score_bits: &[u64]) -> (Corpus, MinedStructure) {
     let mut corpus = Corpus::new();
     let etype = corpus.entities.add_type("author");
@@ -104,18 +104,13 @@ fn synthetic_structure(words: &[String], score_bits: &[u64]) -> (Corpus, MinedSt
     (corpus, mined)
 }
 
-/// v2 round-trip: the decoded snapshot serializes (in the deterministic
-/// v1 wire form) bit-identically to the original, and re-saving v2
-/// reproduces the v2 artifact bit-for-bit.
+/// Round-trip: the decoded snapshot equals the original field by field,
+/// and re-saving it reproduces the artifact bit-for-bit.
 fn assert_v2_round_trip(corpus: &Corpus, mined: &MinedStructure) -> Vec<u8> {
     let bytes = save_snapshot_v2(corpus, mined).expect("save");
     let mapped = MappedSnapshot::from_bytes(&bytes).expect("load v2 back");
     let snap = mapped.to_snapshot().expect("full decode");
-    assert_eq!(
-        save_snapshot(corpus, mined).expect("save"),
-        save_snapshot(&snap.corpus, &snap.mined).expect("save"),
-        "v2 round-trip changed the value"
-    );
+    assert_same_model((corpus, mined), (&snap.corpus, &snap.mined));
     assert_eq!(
         bytes,
         save_snapshot_v2(&snap.corpus, &snap.mined).expect("save"),
@@ -128,42 +123,6 @@ fn assert_v2_round_trip(corpus: &Corpus, mined: &MinedStructure) -> Vec<u8> {
 fn real_mined_structure_round_trips_through_v2() {
     let (corpus, mined) = mined_fixture();
     assert_v2_round_trip(&corpus, &mined);
-}
-
-#[test]
-fn view_queries_are_byte_identical_to_the_owned_path() {
-    let (corpus, mined) = mined_fixture();
-    let bytes = save_snapshot_v2(&corpus, &mined).expect("save");
-    let mapped = MappedSnapshot::from_bytes(&bytes).expect("load v2");
-
-    // Hierarchy JSON.
-    assert_eq!(hierarchy_to_json(&corpus, &mined, 10), hierarchy_to_json_view(&mapped, 10));
-    assert_eq!(hierarchy_to_json(&corpus, &mined, 3), hierarchy_to_json_view(&mapped, 3));
-    // Topic rendering.
-    for t in 0..mined.hierarchy.len() {
-        assert_eq!(
-            mined.render_topic(&corpus, t, 10),
-            render_topic_view(&mapped, t, 10),
-            "topic {t} renders differently through the view"
-        );
-    }
-    // Search, including multi-word, unknown-word, and empty queries.
-    let owned = Model::Owned(Box::new(load_snapshot(&save_snapshot(&corpus, &mined).expect("save")).expect("v1 load")));
-    let mapped = Model::Mapped(Box::new(mapped));
-    let some_word = corpus.vocab.name_or_unk(0).to_string();
-    for query in ["mining", &some_word, "mining latent", "zzz-unknown", ""] {
-        let hits = search(&corpus, &mined, query, 10);
-        assert_eq!(
-            render_hits(&corpus, &mined, &hits),
-            mapped.search_lines(query, 10),
-            "search({query:?}) differs between owned and mapped"
-        );
-        assert_eq!(
-            owned.internal_search_lines(query, 10),
-            mapped.internal_search_lines(query, 10),
-            "internal search({query:?}) differs between owned and mapped"
-        );
-    }
 }
 
 #[test]
@@ -191,42 +150,72 @@ fn shard_doc_ids_rename_rendered_documents() {
 }
 
 #[test]
-fn v1_still_loads_and_cross_version_errors_are_typed() {
+fn format_v1_header_is_a_version_mismatch_everywhere() {
+    // No v1 encoder is kept: the magic plus version 1, then filler, is
+    // what an old build's artifact looks like to this one.
+    let mut v1 = b"LESM".to_vec();
+    v1.extend_from_slice(&1u32.to_le_bytes());
+    v1.extend_from_slice(&[0u8; 64]);
+    let is_v1_mismatch =
+        |r: &SnapshotError| matches!(r, SnapshotError::VersionMismatch { found: 1, supported: 2 });
+    let err = MappedSnapshot::from_bytes(&v1).expect_err("v1 must not map");
+    assert!(is_v1_mismatch(&err), "from_bytes: {err:?}");
+    let err = describe_artifact(&v1).expect_err("v1 must not describe");
+    assert!(is_v1_mismatch(&err), "describe_artifact: {err:?}");
+    let path = std::env::temp_dir().join(format!("lesm-v2test-{}-v1.lesm", std::process::id()));
+    std::fs::write(&path, &v1).expect("write v1");
+    let err = load_model_file(&path.to_string_lossy()).expect_err("v1 must not load");
+    assert!(is_v1_mismatch(&err), "load_model_file: {err:?}");
+    std::fs::remove_file(&path).ok();
+}
+
+#[test]
+fn bad_magic_is_reported_with_the_found_bytes() {
+    let (corpus, mined) = synthetic_structure(&["x".into()], &[1.0f64.to_bits()]);
+    let mut bytes = save_snapshot_v2(&corpus, &mined).expect("save");
+    bytes[0] = b'X';
+    match MappedSnapshot::from_bytes(&bytes) {
+        Err(SnapshotError::BadMagic { found }) => assert_eq!(&found, b"XESM"),
+        other => panic!("expected BadMagic, got {other:?}"),
+    }
+    // TSV input (the other CLI input format) is also just a bad magic.
+    match MappedSnapshot::from_bytes(b"id\ttext\tauthors\n0\thello world\ta") {
+        Err(SnapshotError::BadMagic { found }) => assert_eq!(&found, b"id\tt"),
+        other => panic!("expected BadMagic for TSV bytes, got {other:?}"),
+    }
+}
+
+#[test]
+fn version_skew_is_reported_before_the_checksum() {
+    let (corpus, mined) = synthetic_structure(&["x".into()], &[1.0f64.to_bits()]);
+    let mut bytes = save_snapshot_v2(&corpus, &mined).expect("save");
+    // Bump the version field without fixing the trailer: the loader must
+    // still say "version mismatch", not "checksum mismatch".
+    bytes[4..8].copy_from_slice(&(FORMAT_VERSION_V2 + 1).to_le_bytes());
+    match MappedSnapshot::from_bytes(&bytes) {
+        Err(SnapshotError::VersionMismatch { found, supported }) => {
+            assert_eq!(found, FORMAT_VERSION_V2 + 1);
+            assert_eq!(supported, FORMAT_VERSION_V2);
+        }
+        other => panic!("expected VersionMismatch, got {other:?}"),
+    }
+}
+
+#[test]
+fn payload_corruption_fails_the_checksum() {
     let (corpus, mined) = synthetic_structure(
         &["mining".into(), "latent".into()],
-        &[1.0f64.to_bits(), 0.25f64.to_bits()],
+        &[1.0f64.to_bits()],
     );
-    let v1 = save_snapshot(&corpus, &mined).expect("save");
-    let v2 = save_snapshot_v2(&corpus, &mined).expect("save");
-
-    // v1 loads through the v1 loader, as before.
-    assert!(load_snapshot(&v1).is_ok());
-    // The v2 loader reports v1 input as a version mismatch, not a crash
-    // or a checksum error.
-    match MappedSnapshot::from_bytes(&v1) {
-        Err(SnapshotError::VersionMismatch { found: 1, supported: 2 }) => {}
-        other => panic!("expected VersionMismatch loading v1 as v2, got {other:?}"),
+    let mut bytes = save_snapshot_v2(&corpus, &mined).expect("save");
+    let mid = bytes.len() / 2;
+    bytes[mid] ^= 0xff;
+    match MappedSnapshot::from_bytes(&bytes) {
+        Err(SnapshotError::ChecksumMismatch { expected, actual }) => {
+            assert_ne!(expected, actual);
+        }
+        other => panic!("expected ChecksumMismatch, got {other:?}"),
     }
-    // And the v1 loader reports v2 input symmetrically.
-    match load_snapshot(&v2) {
-        Err(SnapshotError::VersionMismatch { found: 2, supported: 1 }) => {}
-        other => panic!("expected VersionMismatch loading v2 as v1, got {other:?}"),
-    }
-
-    // The version-dispatching loader accepts both from disk.
-    let dir = std::env::temp_dir();
-    let p1 = dir.join(format!("lesm-v2test-{}-v1.lesm", std::process::id()));
-    let p2 = dir.join(format!("lesm-v2test-{}-v2.lesm", std::process::id()));
-    std::fs::write(&p1, &v1).expect("write v1");
-    std::fs::write(&p2, &v2).expect("write v2");
-    let m1 = load_model_file(&p1.to_string_lossy()).expect("dispatch v1");
-    let m2 = load_model_file(&p2.to_string_lossy()).expect("dispatch v2");
-    assert!(matches!(m1, Model::Owned(_)));
-    assert!(matches!(m2, Model::Mapped(_)));
-    assert_eq!(m1.hierarchy_json(10), m2.hierarchy_json(10));
-    assert_eq!(m1.search_lines("mining", 10), m2.search_lines("mining", 10));
-    std::fs::remove_file(&p1).ok();
-    std::fs::remove_file(&p2).ok();
 }
 
 #[test]
@@ -253,7 +242,7 @@ fn truncated_v2_artifacts_report_typed_errors_never_panic() {
 fn misaligned_buffers_load_through_the_aligned_copy() {
     let (corpus, mined) = mined_fixture();
     let bytes = save_snapshot_v2(&corpus, &mined).expect("save");
-    let reference = hierarchy_to_json(&corpus, &mined, 10);
+    let reference = hierarchy_to_json(&(&corpus, &mined), 10);
     // Shift the artifact to every misalignment of an 8-byte window; the
     // loader must still produce identical views.
     for shift in 1..8 {
@@ -261,20 +250,14 @@ fn misaligned_buffers_load_through_the_aligned_copy() {
         buf.extend_from_slice(&bytes);
         let mapped = MappedSnapshot::from_bytes(&buf[shift..])
             .unwrap_or_else(|e| panic!("misaligned by {shift}: {e}"));
-        assert_eq!(reference, hierarchy_to_json_view(&mapped, 10), "shift {shift}");
+        assert_eq!(reference, hierarchy_to_json(&mapped, 10), "shift {shift}");
     }
 }
 
 #[test]
-fn describe_artifact_reports_both_formats() {
+fn describe_artifact_reports_sections_and_checksum() {
     let (corpus, mined) = synthetic_structure(&["x".into()], &[1.0f64.to_bits()]);
-    let v1 = save_snapshot(&corpus, &mined).expect("save");
     let v2 = save_snapshot_v2(&corpus, &mined).expect("save");
-
-    let d1 = describe_artifact(&v1).expect("describe v1");
-    assert!(d1.contains("format version: 1"), "{d1}");
-    assert!(d1.contains("corpus") && d1.contains("structure"), "{d1}");
-    assert!(d1.contains("(ok)"), "{d1}");
 
     let d2 = describe_artifact(&v2).expect("describe v2");
     assert!(d2.contains("format version: 2"), "{d2}");
@@ -317,10 +300,11 @@ fn delta_lineage_round_trips_and_is_optional() {
     let with = save_snapshot_v2_with_lineage(&corpus, &mined, None, Some(&lineage)).expect("save");
     let mapped = MappedSnapshot::from_bytes(&with).expect("load delta artifact");
     assert_eq!(mapped.delta_info(), Some(&lineage));
-    // The artifact stays full: all data sections decode exactly as the
-    // lineage-free artifact does.
+    // The artifact stays full: it decodes to the whole value, which
+    // re-saves without lineage to the lineage-free artifact.
     let plain = save_snapshot_v2(&corpus, &mined).expect("save");
     let snap = mapped.to_snapshot().expect("decode delta artifact");
+    assert_same_model((&corpus, &mined), (&snap.corpus, &snap.mined));
     assert_eq!(plain, save_snapshot_v2(&snap.corpus, &snap.mined).expect("save"));
     assert_eq!(MappedSnapshot::from_bytes(&plain).expect("load").delta_info(), None);
     // Inspection names the extra section.
@@ -395,33 +379,32 @@ proptest! {
         let bytes = save_snapshot_v2(&corpus, &mined).expect("save");
         let mapped = MappedSnapshot::from_bytes(&bytes).expect("load v2");
         let snap = mapped.to_snapshot().expect("decode");
+        assert_same_model((&corpus, &mined), (&snap.corpus, &snap.mined));
+        prop_assert_eq!(&bytes, &save_snapshot_v2(&snap.corpus, &snap.mined).expect("save"));
+        // Rendering stays identical across backends even for hostile
+        // vocab/scores.
         prop_assert_eq!(
-            save_snapshot(&corpus, &mined).expect("save"),
-            save_snapshot(&snap.corpus, &snap.mined).expect("save")
-        );
-        // View rendering stays identical even for hostile vocab/scores.
-        prop_assert_eq!(
-            hierarchy_to_json(&corpus, &mined, 10),
-            hierarchy_to_json_view(&mapped, 10)
+            hierarchy_to_json(&(&corpus, &mined), 10),
+            hierarchy_to_json(&mapped, 10)
         );
     }
 
     #[test]
-    fn any_single_byte_flip_in_v2_is_a_typed_error(
-        pos_seed in 0usize..100_000,
-        flip in 1u8..=255,
-    ) {
+    fn any_single_byte_flip_in_v2_is_a_typed_error(flip in 1u8..=255) {
         let (corpus, mined) = synthetic_structure(
             &["mining".into(), "latent".into()],
             &[0.5f64.to_bits(), 2.0f64.to_bits()],
         );
-        let mut bytes = save_snapshot_v2(&corpus, &mined).expect("save");
-        let pos = pos_seed % bytes.len();
-        bytes[pos] ^= flip;
-        // Every lane of the word checksum absorbs its words through
-        // bijective steps and the fold is bijective in each lane digest,
-        // so any body flip trips the trailer check; flips in the magic,
-        // version, or table hit their own typed checks.
-        prop_assert!(MappedSnapshot::from_bytes(&bytes).is_err());
+        let bytes = save_snapshot_v2(&corpus, &mined).expect("save");
+        // Every byte position, so every section, the header, the table
+        // and the trailer. Every lane of the word checksum absorbs its
+        // words through bijective steps and the fold is bijective in each
+        // lane digest, so any body flip trips the trailer check; flips in
+        // the magic, version, or table hit their own typed checks.
+        for pos in 0..bytes.len() {
+            let mut flipped = bytes.clone();
+            flipped[pos] ^= flip;
+            prop_assert!(MappedSnapshot::from_bytes(&flipped).is_err(), "flip at byte {}", pos);
+        }
     }
 }

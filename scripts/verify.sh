@@ -8,8 +8,8 @@ cd "$(dirname "$0")/.."
 echo "== build (release)"
 cargo build --release
 
-echo "== clippy (-D warnings)"
-cargo clippy --workspace -- -D warnings
+echo "== clippy (--all-targets, -D warnings)"
+cargo clippy --workspace --all-targets -- -D warnings
 
 echo "== lesm-lint (--workspace, all passes)"
 cargo run --release -q -p lesm-lint -- --root "$PWD" --workspace --timing
