@@ -518,8 +518,8 @@ pub fn run_snapshot(
 }
 
 /// Runs `shard`: loads the snapshot, splits its documents into `shards`
-/// artifacts under `out_dir`, and writes
-/// `manifest.json`. Returns a human-readable summary.
+/// artifacts under `out_dir`, and writes `manifest.json`. Returns a
+/// human-readable summary.
 pub fn run_shard(
     snapshot: &str,
     out_dir: &str,
@@ -528,9 +528,9 @@ pub fn run_shard(
 ) -> Result<String, String> {
     let by = lesm_serve::ShardBy::parse(by)
         .ok_or_else(|| format!("unknown strategy {by:?}; use entity-range or topic-subtree"))?;
-    let lesm_serve::Model::Mapped(mapped) =
-        lesm_serve::load_model_file(snapshot).map_err(|e| e.to_string())?;
-    let snap = mapped.to_snapshot().map_err(|e| e.to_string())?;
+    let snap = lesm_serve::MappedSnapshot::open(snapshot)
+        .and_then(|m| m.to_snapshot())
+        .map_err(|e| e.to_string())?;
     let manifest = lesm_serve::write_shards(
         &snap.corpus,
         &snap.mined,
@@ -608,8 +608,8 @@ fn author_type(corpus: &Corpus) -> Result<usize, String> {
         .ok_or_else(|| "corpus has no 'author' entity type".into())
 }
 
-/// Runs `query`: loads the snapshot, builds the
-/// query index, and executes the JSON program — the same
+/// Runs `query`: loads the snapshot, builds the query index, and
+/// executes the JSON program — the same
 /// `lesm_query::run_query` code path a server's `POST /query` runs, so
 /// the returned response is byte-identical to a served response body
 /// (the binary appends one trailing newline when printing). `query` is

@@ -13,9 +13,10 @@
 //! A server runs one of two backends:
 //!
 //! * **Local**: a zero-copy mapped snapshot behind [`Model`]. The model
-//!   sits in an `RwLock<Arc<..>>` so a store watcher can hot-swap versions under live traffic: each
-//!   request clones the `Arc` once and keeps that model for its whole
-//!   lifetime, the swap repoints the lock and clears the response cache.
+//!   sits in an `RwLock<Arc<..>>` so a store watcher can hot-swap
+//!   versions under live traffic: each request clones the `Arc` once and
+//!   keeps that model for its whole lifetime, the swap repoints the lock
+//!   and clears the response cache.
 //! * **Front**: no model; fan-out over the shards of a manifest
 //!   ([`crate::front::Front`]), byte-identical to a single server over
 //!   the unsharded model.
