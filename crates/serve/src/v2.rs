@@ -893,20 +893,20 @@ impl MappedSnapshot {
     // --- typed array views (the `ModelView` impl builds on these) ---
 
     /// Child topic ids of `t`.
-    pub fn children(&self, t: usize) -> &[u64] {
+    fn children(&self, t: usize) -> &[u64] {
         let (a, b) = self.span(self.layout.child_bounds, t);
         &self.u64s(self.layout.children)[a..b]
     }
 
     /// Number of ranked phrases for topic `t`.
-    pub fn phrase_count(&self, t: usize) -> usize {
+    fn phrase_count(&self, t: usize) -> usize {
         let (a, b) = self.span(self.layout.phrase_topic_bounds, t);
         b - a
     }
 
     /// The `i`-th ranked phrase of topic `t`: (tokens, score, topic
     /// frequency), in the original ranked order.
-    pub fn phrase(&self, t: usize, i: usize) -> (&[u32], f64, f64) {
+    fn phrase(&self, t: usize, i: usize) -> (&[u32], f64, f64) {
         let (a, _) = self.span(self.layout.phrase_topic_bounds, t);
         let p = a + i;
         let (ta, tb) = self.span(self.layout.phrase_tok_bounds, p);
@@ -919,14 +919,14 @@ impl MappedSnapshot {
 
     /// The ranked entity list for topic `t`, type cell `x`: parallel
     /// (ids, scores) slices.
-    pub fn topic_entities(&self, t: usize, x: usize) -> (&[u32], &[f64]) {
+    fn topic_entities(&self, t: usize, x: usize) -> (&[u32], &[f64]) {
         let (a, _) = self.span(self.layout.te_cell_bounds, t);
         let (ea, eb) = self.span(self.layout.te_entry_bounds, a + x);
         (&self.u32s(self.layout.te_ids)[ea..eb], &self.f64s(self.layout.te_scores)[ea..eb])
     }
 
     /// Number of phrase-frequency entries for topic `t`.
-    pub fn ptf_count(&self, t: usize) -> usize {
+    fn ptf_count(&self, t: usize) -> usize {
         let (a, b) = self.span(self.layout.ptf_topic_bounds, t);
         b - a
     }
@@ -934,7 +934,7 @@ impl MappedSnapshot {
     /// The `i`-th phrase-frequency entry of topic `t`. Entries are stored
     /// in ascending phrase-key order, the order
     /// [`ModelView::phrase_freqs`] promises.
-    pub fn ptf_entry(&self, t: usize, i: usize) -> (&[u32], f64) {
+    fn ptf_entry(&self, t: usize, i: usize) -> (&[u32], f64) {
         let (a, _) = self.span(self.layout.ptf_topic_bounds, t);
         let e = a + i;
         let (ta, tb) = self.span(self.layout.ptf_tok_bounds, e);
@@ -942,7 +942,7 @@ impl MappedSnapshot {
     }
 
     /// Document `d`'s topic weight row.
-    pub fn doc_topic_row(&self, d: usize) -> &[f64] {
+    fn doc_topic_row(&self, d: usize) -> &[f64] {
         let (a, b) = self.span(self.layout.dt_row_bounds, d);
         &self.f64s(self.layout.dt_values)[a..b]
     }
