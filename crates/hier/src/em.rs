@@ -36,6 +36,11 @@
 //!   heap allocation.
 //! * **Early exit** ([`EmConfig::tol`]) stops a run once the surrogate
 //!   objective's relative improvement falls below tolerance.
+//! * **Restarts as tasks**: a cold fit's restarts run concurrently, and
+//!   only the threads left over go to each run's edge reduce (`fit_alpha`).
+//! * **Carried row**: edges arrive grouped by first endpoint, so the
+//!   E-step keeps that endpoint's numerator row in registers across its
+//!   run of edges instead of loading and storing it per edge.
 //!
 //! All of this preserves the workspace determinism contract: results are
 //! bit-identical for any thread count, and bit-identical to the original
@@ -174,14 +179,21 @@ impl EmFit {
     /// Posterior subtopic distribution `q` of a single link (E-step formula,
     /// eqs. 3.12–3.13). Index 0 is the background.
     pub fn link_posterior(&self, tx: usize, i: u32, ty: usize, j: u32) -> Vec<f64> {
-        let (i, j) = (i as usize, j as usize);
         let mut q = vec![0.0; self.k + 1];
+        self.posterior_into(tx, i, ty, j, &mut q);
+        q
+    }
+
+    /// [`EmFit::link_posterior`] into a caller-owned `k + 1` buffer.
+    fn posterior_into(&self, tx: usize, i: u32, ty: usize, j: u32, q: &mut [f64]) {
+        let (i, j) = (i as usize, j as usize);
         let mut total = 0.0;
         for z in 0..self.k {
             let v = self.rho[z + 1] * self.phi[tx][z][i] * self.phi[ty][z][j];
             q[z + 1] = v;
             total += v;
         }
+        q[0] = 0.0;
         if self.rho[0] > 0.0 {
             let v = 0.5
                 * self.rho[0]
@@ -191,29 +203,37 @@ impl EmFit {
             total += v;
         }
         if total > 0.0 {
-            for v in &mut q {
+            for v in q.iter_mut() {
                 *v /= total;
             }
         }
-        q
     }
 
-    /// Extracts the expected-weight subnetwork of subtopic `z` (0-based):
-    /// links keep the fraction `e q_z`, and links whose expected weight
-    /// falls below `threshold` are dropped (§3.2.1 uses 1.0).
-    pub fn subnetwork(&self, net: &TypedNetwork, z: usize, threshold: f64) -> TypedNetwork {
-        let mut out = TypedNetwork::new(net.type_names.clone(), net.node_counts.clone());
+    /// Extracts the expected-weight subnetwork of every subtopic, in
+    /// subtopic order: in subnetwork `z` each link keeps the fraction
+    /// `e q_z`, and links whose expected weight falls below `threshold` are
+    /// dropped (§3.2.1 uses 1.0). Each link's posterior is computed once
+    /// for all `k` subnetworks.
+    pub fn subnetworks(&self, net: &TypedNetwork, threshold: f64) -> Vec<TypedNetwork> {
+        let mut out: Vec<TypedNetwork> = (0..self.k)
+            .map(|_| TypedNetwork::new(net.type_names.clone(), net.node_counts.clone()))
+            .collect();
+        let mut q = vec![0.0; self.k + 1];
         for blk in &net.blocks {
-            let mut edges = Vec::new();
+            let mut edges: Vec<Vec<(u32, u32, f64)>> = vec![Vec::new(); self.k];
             for &(i, j, w) in &blk.edges {
-                let q = self.link_posterior(blk.tx, i, blk.ty, j);
-                let ew = w * q[z + 1];
-                if ew >= threshold {
-                    edges.push((i, j, ew));
+                self.posterior_into(blk.tx, i, blk.ty, j, &mut q);
+                for (sub, &qz) in edges.iter_mut().zip(&q[1..]) {
+                    let ew = w * qz;
+                    if ew >= threshold {
+                        sub.push((i, j, ew));
+                    }
                 }
             }
-            if !edges.is_empty() {
-                out.blocks.push(lesm_net::LinkBlock { tx: blk.tx, ty: blk.ty, edges });
+            for (sub, edges) in out.iter_mut().zip(edges) {
+                if !edges.is_empty() {
+                    sub.blocks.push(lesm_net::LinkBlock { tx: blk.tx, ty: blk.ty, edges });
+                }
             }
         }
         out
@@ -445,6 +465,11 @@ impl EdgeState {
 /// — and therefore every EM result — is identical for any parallelism.
 const EM_PIECES: usize = 16;
 
+/// Edges whose `ln(s)` the E-step stages on the stack before one
+/// vectorized `fast_ln_slice` call. A multiple of 4, so every stage starts
+/// on the same objective partial.
+const LN_STAGE: usize = 256;
+
 /// One contiguous parameter buffer: `[ φ | φ0 | ρ ]`, with `φ` node-major
 /// interleaved — the value `φ[x][z][i]` lives at `node * k + z` where
 /// `node = node_base[x] + i`. The interleaving puts all `k` subtopic
@@ -526,15 +551,6 @@ impl ArenaFit {
     }
 }
 
-/// Reused per-fit working memory: the reduce chunk buffers and the flat
-/// `[obj | ρ | φ | φ0]` accumulator. One of these lives for a whole
-/// `fit_prepared` call, so the EM iteration loop performs no heap
-/// allocation.
-struct EmScratch {
-    reduce: lesm_par::ReduceScratch,
-    acc: Vec<f64>,
-}
-
 /// CATHYHIN EM fitter. For text-only CATHY (§3.1), run on a single-type
 /// network with `background: false`.
 ///
@@ -589,21 +605,18 @@ impl CathyHinEm {
         let mut alpha =
             initial_alpha(&config.weights, &state.pair_weight, &state.pair_links, t_count);
 
-        let mut scratch = EmScratch { reduce: lesm_par::ReduceScratch::new(), acc: Vec::new() };
-
         // Phase 1: multi-restart EM under the initial weights; the best
         // objective wins (restart objectives are comparable because the
         // weights are identical).
-        let mut best = fit_alpha(state, config, &alpha, None, &mut scratch);
+        let mut best = fit_alpha(state, config, &alpha, None);
         // Phase 2 (learned weights only): alternate α re-estimation with
         // warm-started EM refinement (eq. 3.37's outer loop), starting from
         // the best equal-weight partition so weight learning refines rather
-        // than re-discovers the clustering. The warm fit is moved (not
-        // cloned) into the next round.
+        // than re-discovers the clustering.
         if config.weights == WeightMode::Learned {
             for _ in 1..config.weight_rounds.max(1) {
-                alpha = learn_alpha(state, &best, config.threads, &mut scratch);
-                best = fit_alpha(state, config, &alpha, Some(best), &mut scratch);
+                alpha = learn_alpha(state, &best, config.threads);
+                best = fit_alpha(state, config, &alpha, Some(&best.arena));
             }
         }
         Ok(best.into_em_fit(state, alpha))
@@ -725,29 +738,30 @@ impl CathyHinEm {
         }
         let mut alpha = prev.alpha.clone();
         rescale_alpha(&mut alpha, &state.pair_links);
-        let mut scratch = EmScratch { reduce: lesm_par::ReduceScratch::new(), acc: Vec::new() };
-        let warm = ArenaFit {
-            arena,
-            theta: Vec::new(),
-            objective: f64::NEG_INFINITY,
-            objective_trace: Vec::new(),
-            loglik: 0.0,
-        };
-        let best = fit_alpha(state, config, &alpha, Some(warm), &mut scratch);
+        let best = fit_alpha(state, config, &alpha, Some(&arena));
         Ok(best.into_em_fit(state, alpha))
     }
 }
 
 /// Runs EM under one fixed `alpha`: the per-α constants (scaled weights,
-/// `θ`) are computed once and shared by every restart. With `warm`, a
-/// single deterministic continuation run is performed instead, reusing the
-/// warm fit's arena without copying.
+/// `θ`) are computed once and shared by every run. A cold fit makes
+/// `restarts` independent seeded runs and keeps the best objective; with
+/// `warm`, a single deterministic continuation of that arena runs instead.
+///
+/// The runs are independent tasks. The thread budget is split between
+/// them (`outer`) and each run's per-iteration edge reduce (`inner`), so a
+/// two-restart fit on two cores runs both restarts at once, one thread
+/// each, instead of spreading every iteration's edges over both cores. A
+/// single run (warm fits, learned-weight rounds) gets every thread for its
+/// edge reduce. Neither split can move a bit: each run is a pure function
+/// of its seed, every reduce is bit-identical for any thread count, and
+/// the winner is picked in restart order with a strict `>`, so the
+/// earliest of tied objectives wins, as in a sequential loop.
 fn fit_alpha(
     state: &EdgeState,
     config: &EmConfig,
     alpha: &[f64],
-    warm: Option<ArenaFit>,
-    scratch: &mut EmScratch,
+    warm: Option<&ParamArena>,
 ) -> ArenaFit {
     let n_edges = state.num_links();
     let t_count = state.t_count;
@@ -760,34 +774,22 @@ fn fit_alpha(
         theta[state.tp[e]] += scaled[e] / m_total;
     }
 
-    match warm {
-        Some(prev) => {
-            // Warm-started rounds are deterministic — one run suffices.
-            run_em(state, config, &scaled, m_total, &theta, config.seed, Some(prev.arena), scratch)
-        }
-        None => {
-            // Restart 0 seeds `best` directly (its seed offset is 0), so no
-            // `Option` unwrap is needed to prove the loop produced a fit.
-            let mut best =
-                run_em(state, config, &scaled, m_total, &theta, config.seed, None, scratch);
-            for restart in 1..config.restarts.max(1) {
-                let f = run_em(
-                    state,
-                    config,
-                    &scaled,
-                    m_total,
-                    &theta,
-                    config.seed.wrapping_add(restart as u64 * 1313),
-                    None,
-                    scratch,
-                );
-                if f.objective > best.objective {
-                    best = f;
-                }
-            }
-            best
+    let runs = if warm.is_some() { 1 } else { config.restarts.max(1) };
+    let run_work = lesm_par::WorkHint::items(n_edges, (8 * config.k + 16) * config.iters);
+    let threads = lesm_par::dispatch_threads(config.threads, run_work);
+    let outer = runs.min(threads);
+    let inner = threads / outer;
+    let mut fits = lesm_par::par_map_collect(runs, outer, |restart| {
+        let seed = config.seed.wrapping_add(restart as u64 * 1313);
+        run_em(state, config, &scaled, m_total, &theta, seed, warm, inner)
+    });
+    let mut best = 0;
+    for (restart, fit) in fits.iter().enumerate().skip(1) {
+        if fit.objective > fits[best].objective {
+            best = restart;
         }
     }
+    fits.swap_remove(best)
 }
 
 fn initial_alpha(
@@ -952,126 +954,156 @@ fn estep_fill_portable<const K: usize>(
         &mut hz_arr
     };
     let mut bg_acc = 0.0f64;
+    // Edges are grouped by first endpoint (each block is sorted by
+    // `(i, j)`), so the first endpoint's numerator row is carried in
+    // registers: loaded when `ni` changes, stored back before the next
+    // load and at the end of the chunk. Each cell still receives the same
+    // adds in the same edge order as a per-edge load and store, so the
+    // bits do not change; only the traffic does. A self-loop's second
+    // endpoint is the carried row itself, so both of its adds go to the
+    // carried copy.
+    let mut carry_arr = [0.0f64; K];
+    let mut carry_vec;
+    let carry: &mut [f64] = if K == 0 {
+        carry_vec = vec![0.0f64; k];
+        &mut carry_vec
+    } else {
+        &mut carry_arr
+    };
+    let mut carried: Option<usize> = None;
     // ln(s) is the one long-latency operation per edge, and it feeds
     // nothing but the objective — never the parameters. Deferring it out
-    // of the edge loop (stash s and w, run the chunk through the
-    // vectorized `fast_ln_slice`, then fold w·ln s in edge order)
-    // unserializes the whole E-step: every other per-edge op is a short
-    // mul/add/divide the out-of-order window overlaps freely. Dead edges
-    // (s ≤ 0) keep the sentinel s = 1, w = 0, so they contribute an exact
-    // +0.0 to the objective, same as being skipped.
-    let base = range.start;
-    let mut ln_scratch = vec![0.0f64; 3 * range.len()];
-    let (sbuf, rest) = ln_scratch.split_at_mut(range.len());
-    let (wbuf, lnbuf) = rest.split_at_mut(range.len());
-    sbuf.fill(1.0);
-    for e in range.clone() {
-        let (ni, nj) = (state.ni[e] as usize, state.nj[e] as usize);
-        let (na, nb) = (ni * k, nj * k);
-        let w = scaled[e];
-        let a = &phi_c[na..na + k];
-        let b = &phi_c[nb..nb + k];
-        for ((qv, &rz), (&az, &bz)) in q.iter_mut().zip(rho_z).zip(a.iter().zip(b)) {
-            *qv = rz * az * bz;
-        }
-        // Four stride-4 partial sums folded in a fixed order — the shape
-        // a 4-lane vector add produces, so the compiler keeps the whole
-        // reduction in SIMD registers. The grouping is a pure function of
-        // k: deterministic, thread-invariant, dispatch-invariant.
-        let mut acc4 = [0.0f64; 4];
-        let mut quads = q.chunks_exact(4);
-        for quad in &mut quads {
-            acc4[0] += quad[0];
-            acc4[1] += quad[1];
-            acc4[2] += quad[2];
-            acc4[3] += quad[3];
-        }
-        for (l, &r) in quads.remainder().iter().enumerate() {
-            acc4[l] += r;
-        }
-        let mut s = (acc4[0] + acc4[1]) + (acc4[2] + acc4[3]);
-        // Background: average of the two link directions.
-        let (bg_a, bg_b, q0);
-        if background {
-            bg_a = 0.5 * rho_c[0] * bgpack[2 * ni] * bgpack[2 * nj + 1];
-            bg_b = 0.5 * rho_c[0] * bgpack[2 * nj] * bgpack[2 * ni + 1];
-            q0 = bg_a + bg_b;
-            s += q0;
-        } else {
-            bg_a = 0.0;
-            bg_b = 0.0;
-            q0 = 0.0;
-        }
-        if s <= 0.0 {
-            continue;
-        }
-        sbuf[e - base] = s;
-        wbuf[e - base] = w;
-        let inv = w / s;
-        if na == nb {
-            // Self-loop: both endpoint rows are the same slice, so
-            // accumulate the contribution twice in sequence (same bits as
-            // two indexed adds to one cell).
-            let pa = &mut phi_b[na..na + k];
-            for ((&qv, hv), pv) in q.iter().zip(&mut *hz).zip(pa) {
-                let ew = qv * inv;
-                *hv += ew;
-                *pv += ew;
-                *pv += ew;
+    // of the edge loop (stash s and w for a stage of edges, run the stage
+    // through the vectorized `fast_ln_slice`, then fold w·ln s in edge
+    // order) unserializes the whole E-step: every other per-edge op is a
+    // short mul/add/divide the out-of-order window overlaps freely. Dead
+    // edges (s ≤ 0) stage s = 1, w = 0, so they contribute an exact +0.0
+    // to the objective, same as being skipped. The stage buffers live on
+    // the stack, so no iteration allocates them.
+    let mut sbuf = [0.0f64; LN_STAGE];
+    let mut wbuf = [0.0f64; LN_STAGE];
+    let mut lnbuf = [0.0f64; LN_STAGE];
+    // Same fixed stride-4 shape as the posterior sum: four independent
+    // partials keep the long w·ln(s) fold out of a single serial add
+    // chain. An edge's partial is its position in the chunk mod 4 (stages
+    // start at multiples of 4), so the grouping depends only on the chunk.
+    let mut obj4 = [0.0f64; 4];
+    for stage_start in range.clone().step_by(LN_STAGE) {
+        let stage = stage_start..range.end.min(stage_start + LN_STAGE);
+        for (slot, e) in stage.clone().enumerate() {
+            let (ni, nj) = (state.ni[e] as usize, state.nj[e] as usize);
+            let (na, nb) = (ni * k, nj * k);
+            if carried != Some(na) {
+                if let Some(row) = carried {
+                    phi_b[row..row + k].copy_from_slice(carry);
+                }
+                carry.copy_from_slice(&phi_b[na..na + k]);
+                carried = Some(na);
             }
-        } else {
-            // Distinct rows: na and nb are k-aligned, so they differ by at
-            // least k and split_at_mut yields two non-overlapping row
-            // slices. Every add below hits a distinct cell, so the store
-            // order within an edge cannot change any bits.
-            let (lo, hi) = if na < nb { (na, nb) } else { (nb, na) };
-            let (left, right) = phi_b.split_at_mut(hi);
-            let pl = &mut left[lo..lo + k];
-            let pr = &mut right[..k];
-            for (((&qv, hv), lv), rv) in q.iter().zip(&mut *hz).zip(pl).zip(pr) {
-                let ew = qv * inv;
-                *hv += ew;
-                *lv += ew;
-                *rv += ew;
+            let w = scaled[e];
+            let a = &phi_c[na..na + k];
+            let b = &phi_c[nb..nb + k];
+            for ((qv, &rz), (&az, &bz)) in q.iter_mut().zip(rho_z).zip(a.iter().zip(b)) {
+                *qv = rz * az * bz;
+            }
+            // Four stride-4 partial sums folded in a fixed order — the
+            // shape a 4-lane vector add produces, so the compiler keeps
+            // the whole reduction in SIMD registers. The grouping is a pure
+            // function of k: deterministic, thread-invariant,
+            // dispatch-invariant.
+            let mut acc4 = [0.0f64; 4];
+            let mut quads = q.chunks_exact(4);
+            for quad in &mut quads {
+                acc4[0] += quad[0];
+                acc4[1] += quad[1];
+                acc4[2] += quad[2];
+                acc4[3] += quad[3];
+            }
+            for (l, &r) in quads.remainder().iter().enumerate() {
+                acc4[l] += r;
+            }
+            let mut s = (acc4[0] + acc4[1]) + (acc4[2] + acc4[3]);
+            // Background: average of the two link directions.
+            let (bg_a, bg_b, q0);
+            if background {
+                bg_a = 0.5 * rho_c[0] * bgpack[2 * ni] * bgpack[2 * nj + 1];
+                bg_b = 0.5 * rho_c[0] * bgpack[2 * nj] * bgpack[2 * ni + 1];
+                q0 = bg_a + bg_b;
+                s += q0;
+            } else {
+                bg_a = 0.0;
+                bg_b = 0.0;
+                q0 = 0.0;
+            }
+            if s <= 0.0 {
+                sbuf[slot] = 1.0;
+                wbuf[slot] = 0.0;
+                continue;
+            }
+            sbuf[slot] = s;
+            wbuf[slot] = w;
+            let inv = w / s;
+            if na == nb {
+                // Self-loop: the contribution lands on the carried row
+                // twice in sequence (same bits as two indexed adds to one
+                // cell).
+                for ((&qv, hv), cv) in q.iter().zip(&mut *hz).zip(&mut *carry) {
+                    let ew = qv * inv;
+                    *hv += ew;
+                    *cv += ew;
+                    *cv += ew;
+                }
+            } else {
+                // The second endpoint's row is never the carried one, so
+                // every add below hits a distinct cell and the store order
+                // within an edge cannot change any bits.
+                let pb = &mut phi_b[nb..nb + k];
+                for (((&qv, hv), cv), bv) in q.iter().zip(&mut *hz).zip(&mut *carry).zip(pb) {
+                    let ew = qv * inv;
+                    *hv += ew;
+                    *cv += ew;
+                    *bv += ew;
+                }
+            }
+            if background {
+                let e0 = q0 * inv;
+                bg_acc += e0;
+                if ctx.track_phi0 && q0 > 0.0 {
+                    phi0_b[ni] += inv * bg_a;
+                    phi0_b[nj] += inv * bg_b;
+                }
             }
         }
-        if background {
-            let e0 = q0 * inv;
-            bg_acc += e0;
-            if ctx.track_phi0 && q0 > 0.0 {
-                phi0_b[ni] += inv * bg_a;
-                phi0_b[nj] += inv * bg_b;
-            }
+        // The batched objective: ln over the stage, then the w·ln(s) fold
+        // in edge order.
+        let n = stage.len();
+        lesm_linalg::fast_ln_slice(&sbuf[..n], &mut lnbuf[..n]);
+        let mut pairs = lnbuf[..n].chunks_exact(4).zip(wbuf[..n].chunks_exact(4));
+        for (lq, wq) in &mut pairs {
+            obj4[0] += wq[0] * lq[0];
+            obj4[1] += wq[1] * lq[1];
+            obj4[2] += wq[2] * lq[2];
+            obj4[3] += wq[3] * lq[3];
+        }
+        let tail = n - n % 4;
+        for (l, (lv, wv)) in lnbuf[tail..n].iter().zip(&wbuf[tail..n]).enumerate() {
+            obj4[l] += wv * lv;
         }
     }
-    // Flush the register accumulators, then the batched objective: ln over
-    // the chunk and the w·ln(s) fold in the same edge order the fused loop
-    // used.
+    if let Some(row) = carried {
+        phi_b[row..row + k].copy_from_slice(carry);
+    }
+    // Flush the register accumulators.
     for (slot, &local) in head_z.iter_mut().zip(&*hz) {
         *slot += local;
     }
     head_obj[1] += bg_acc;
-    lesm_linalg::fast_ln_slice(sbuf, lnbuf);
-    // Same fixed stride-4 shape as the posterior sum: four independent
-    // partials keep the long w·ln(s) fold out of a single serial add
-    // chain, and the grouping depends only on the chunk length.
-    let mut obj4 = [0.0f64; 4];
-    let mut pairs = lnbuf.chunks_exact(4).zip(wbuf.chunks_exact(4));
-    for (lq, wq) in &mut pairs {
-        obj4[0] += wq[0] * lq[0];
-        obj4[1] += wq[1] * lq[1];
-        obj4[2] += wq[2] * lq[2];
-        obj4[3] += wq[3] * lq[3];
-    }
-    let tail = lnbuf.len() - lnbuf.len() % 4;
-    for (l, (lv, wv)) in lnbuf[tail..].iter().zip(&wbuf[tail..]).enumerate() {
-        obj4[l] += wv * lv;
-    }
     head_obj[0] += (obj4[0] + obj4[1]) + (obj4[2] + obj4[3]);
 }
 
-/// One full EM run (fixed α). When `warm` is given, the passed arena is
-/// continued in place instead of random initialization.
+/// One full EM run (fixed α) whose edge reduces use `threads`. When
+/// `warm` is given, a copy of that arena is continued instead of a random
+/// initialization from `seed`.
 #[allow(clippy::too_many_arguments)]
 fn run_em(
     state: &EdgeState,
@@ -1080,8 +1112,8 @@ fn run_em(
     m_total: f64,
     theta: &[f64],
     seed: u64,
-    warm: Option<ParamArena>,
-    scratch: &mut EmScratch,
+    warm: Option<&ParamArena>,
+    threads: usize,
 ) -> ArenaFit {
     let k = config.k;
     let t_count = state.t_count;
@@ -1093,12 +1125,11 @@ fn run_em(
 
     // Initialize φ, φ0, ρ (same RNG draw order as the original nested
     // implementation: type-major, then subtopic, then node).
-    let warm_started = warm.is_some();
     let mut cur = match warm {
         Some(arena) => {
             debug_assert_eq!(arena.k, k);
             debug_assert_eq!(arena.total, total);
-            arena
+            arena.clone()
         }
         None => {
             let mut arena = ParamArena::new(k, total);
@@ -1135,7 +1166,6 @@ fn run_em(
             arena
         }
     };
-    let _ = warm_started;
 
     // Ping-pong write arena. φ0 is copied once up front so it stays pinned
     // through swaps when it is not re-learned.
@@ -1154,8 +1184,11 @@ fn run_em(
     let phi_off = k + 2;
     let phi0_off = phi_off + total * k;
     let acc_len = if track_phi0 { phi0_off + total } else { phi0_off };
-    scratch.acc.clear();
-    scratch.acc.resize(acc_len, 0.0);
+    // The run's working memory: the reduce chunk buffers and the flat
+    // accumulator, reused by every iteration, so the iteration loop
+    // performs no heap allocation.
+    let mut reduce = lesm_par::ReduceScratch::new();
+    let mut acc = vec![0.0f64; acc_len];
 
     let mut objective = f64::NEG_INFINITY;
     let mut objective_trace = Vec::with_capacity(config.iters);
@@ -1197,15 +1230,14 @@ fn run_em(
             bgpack: &bgpack,
         };
         lesm_par::par_buffer_reduce_with_hinted(
-            &mut scratch.reduce,
+            &mut reduce,
             n_edges,
             grain,
-            config.threads,
+            threads,
             hint,
-            &mut scratch.acc,
+            &mut acc,
             |range, buf| estep_fill(&ctx, range, buf),
         );
-        let acc = &scratch.acc;
         let obj = acc[0];
         // M-step: unpack into the write arena with the 1e-12 smoothing the
         // normalizers expect, then swap the arenas.
@@ -1276,10 +1308,10 @@ fn run_em(
     let (phi_c, phi0_c, rho_c) = cur.split();
     let mut ll = [0.0f64];
     lesm_par::par_buffer_reduce_with_hinted(
-        &mut scratch.reduce,
+        &mut reduce,
         n_edges,
         grain,
-        config.threads,
+        threads,
         lesm_par::WorkHint::items(n_edges, 2 * k + 8),
         &mut ll,
         |range, buf| {
@@ -1311,26 +1343,19 @@ fn run_em(
 
 /// Learns link-type weights from the current fit (eqs. 3.37–3.38), then
 /// rescales to the Theorem 3.2 constraint.
-fn learn_alpha(
-    state: &EdgeState,
-    fit: &ArenaFit,
-    threads: usize,
-    scratch: &mut EmScratch,
-) -> Vec<f64> {
+fn learn_alpha(state: &EdgeState, fit: &ArenaFit, threads: usize) -> Vec<f64> {
     let k = fit.arena.k;
     let (phi, phi0, rho) = fit.arena.split();
     let t_count = state.t_count;
     let n_edges = state.num_links();
     let parent_flat = &state.parent_flat;
     // σ_{x,y} = (1/n_{x,y}) Σ e ln( e / (M_{x,y} s) )
-    let mut sigma = vec![0.0f64; t_count * t_count];
-    lesm_par::par_buffer_reduce_with_hinted(
-        &mut scratch.reduce,
+    let mut sigma = lesm_par::par_buffer_reduce_hinted(
         n_edges,
         lesm_par::grain_for_pieces(n_edges, EM_PIECES),
         threads,
         lesm_par::WorkHint::items(n_edges, 2 * k + 8),
-        &mut sigma,
+        t_count * t_count,
         |range, buf| {
             for e in range {
                 let (ni, nj) = (state.ni[e] as usize, state.nj[e] as usize);
@@ -1557,9 +1582,29 @@ mod tests {
         let q = fit.link_posterior(1, 0, 1, 1);
         let s: f64 = q.iter().sum();
         assert!((s - 1.0).abs() < 1e-9);
-        let sub = fit.subnetwork(&net, 0, 1.0);
-        assert!(sub.num_links() > 0);
-        assert!(sub.total_weight() < net.total_weight());
+        let subs = fit.subnetworks(&net, 1.0);
+        assert_eq!(subs.len(), 2);
+        assert!(subs[0].num_links() > 0);
+        assert!(subs[0].total_weight() < net.total_weight());
+        // Each subnetwork keeps exactly the links whose posterior share of
+        // their weight clears the threshold, at that expected weight.
+        for (z, sub) in subs.iter().enumerate() {
+            let mut want = Vec::new();
+            for blk in &net.blocks {
+                for &(i, j, w) in &blk.edges {
+                    let ew = w * fit.link_posterior(blk.tx, i, blk.ty, j)[z + 1];
+                    if ew >= 1.0 {
+                        want.push((blk.tx, blk.ty, i, j, ew.to_bits()));
+                    }
+                }
+            }
+            let got: Vec<_> = sub
+                .blocks
+                .iter()
+                .flat_map(|b| b.edges.iter().map(|&(i, j, w)| (b.tx, b.ty, i, j, w.to_bits())))
+                .collect();
+            assert_eq!(got, want);
+        }
     }
 
     #[test]

@@ -183,9 +183,9 @@ impl TopicHierarchy {
                 }
                 let em_cfg = EmConfig { k, ..config.em.clone() };
                 let fit = CathyHinEm::fit_prepared(&state, &em_cfg)?;
-                for z in 0..k {
-                    let subnet =
-                        fit.subnetwork(&hierarchy.topics[node].network, z, config.subnet_threshold);
+                let subnets =
+                    fit.subnetworks(&hierarchy.topics[node].network, config.subnet_threshold);
+                for (z, subnet) in subnets.into_iter().enumerate() {
                     let child_idx = hierarchy.topics.len();
                     let path = format!("{}/{}", hierarchy.topics[node].path, z + 1);
                     let phi: Vec<Vec<f64>> = (0..n_types).map(|x| fit.phi[x][z].clone()).collect();
@@ -294,9 +294,8 @@ impl TopicHierarchy {
                 let em_cfg =
                     EmConfig { k, iters: budget.iters, tol: budget.tol, ..config.em.clone() };
                 let fit = CathyHinEm::fit_warm(&state, &em_cfg, prev_fit)?;
-                for z in 0..k {
-                    let subnet =
-                        fit.subnetwork(&out.topics[node].network, z, config.subnet_threshold);
+                let subnets = fit.subnetworks(&out.topics[node].network, config.subnet_threshold);
+                for (z, subnet) in subnets.into_iter().enumerate() {
                     let child_idx = out.topics.len();
                     let path = format!("{}/{}", out.topics[node].path, z + 1);
                     let phi: Vec<Vec<f64>> =

@@ -80,8 +80,9 @@ proptest! {
         let fit = CathyHinEm::fit(&net, &cfg).unwrap();
         let parent_w = net.total_weight();
         let mut child_total = 0.0;
-        for z in 0..k {
-            let sub = fit.subnetwork(&net, z, 0.0);
+        let subs = fit.subnetworks(&net, 0.0);
+        prop_assert_eq!(subs.len(), k);
+        for sub in &subs {
             let w = sub.total_weight();
             prop_assert!(w <= parent_w + 1e-6);
             child_total += w;

@@ -17,7 +17,6 @@
 #![cfg_attr(not(test), warn(clippy::unwrap_used))]
 
 use lesm_corpus::Corpus;
-use std::collections::HashMap;
 
 /// Errors produced by network construction and manipulation.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -176,20 +175,128 @@ impl TypedNetwork {
     }
 }
 
-/// Builder that accumulates link weights in hash maps and freezes them into
-/// sorted [`LinkBlock`]s.
+/// Adds a type pair buffers before folding them into its sorted links.
+/// The cap bounds the builder's transient memory (DESIGN.md §12 records
+/// what an unbounded buffer cost). Unit tests use a tiny cap so that
+/// every test network crosses it many times.
+#[cfg(not(test))]
+const FLUSH_CAP: usize = 1 << 18;
+#[cfg(test)]
+const FLUSH_CAP: usize = 7;
+
+/// The links of one type pair under construction.
+#[derive(Debug)]
+struct PairLinks {
+    tx: usize,
+    ty: usize,
+    /// Distinct links sorted by the packed key `(i << 32) | j`, each with
+    /// its weight sum so far.
+    merged: Vec<(u64, f64)>,
+    /// Adds since the last flush, in insertion order.
+    pending: Vec<(u64, f64)>,
+}
+
+/// Sorts `pairs` by key and keeps equal keys in insertion order: a
+/// least-significant-digit radix sort over the key's bytes, one stable
+/// scatter pass per byte, skipping bytes that every key shares (the high
+/// bytes of small node ids). `spare` is scratch of the same length.
+fn radix_sort(pairs: &mut Vec<(u64, f64)>, spare: &mut Vec<(u64, f64)>) {
+    let mut counts = [[0usize; 256]; 8];
+    for &(key, _) in pairs.iter() {
+        for (byte, count) in counts.iter_mut().enumerate() {
+            count[(key >> (8 * byte)) as usize & 0xff] += 1;
+        }
+    }
+    spare.clear();
+    spare.resize(pairs.len(), (0, 0.0));
+    for (byte, count) in counts.iter().enumerate() {
+        if count.contains(&pairs.len()) {
+            continue;
+        }
+        let mut next = [0usize; 256];
+        let mut start = 0;
+        for (slot, &n) in next.iter_mut().zip(count) {
+            *slot = start;
+            start += n;
+        }
+        for &(key, w) in pairs.iter() {
+            let digit = (key >> (8 * byte)) as usize & 0xff;
+            spare[next[digit]] = (key, w);
+            next[digit] += 1;
+        }
+        std::mem::swap(pairs, spare);
+    }
+}
+
+impl PairLinks {
+    /// Folds the pending adds into `merged`. The stable sort keeps each
+    /// key's adds in insertion order and every add lands on the key's
+    /// running sum one at a time, so each weight is the left-to-right sum
+    /// `((0 + w1) + w2) + …` that a hash-map accumulator computes, bit for
+    /// bit, whatever the weights and wherever the flushes fall.
+    fn flush(&mut self, spare: &mut Vec<(u64, f64)>) {
+        let (merged, pending) = (&mut self.merged, &mut self.pending);
+        radix_sort(pending, spare);
+        // Adds to known keys go straight onto their sums; new keys are
+        // reduced in place at the front of `pending`.
+        let (mut m, mut p, mut fresh) = (0, 0, 0);
+        while p < pending.len() {
+            let key = pending[p].0;
+            while merged.get(m).is_some_and(|&(k, _)| k < key) {
+                m += 1;
+            }
+            let known = merged.get(m).is_some_and(|&(k, _)| k == key);
+            let mut sum = if known { merged[m].1 } else { 0.0 };
+            while let Some(&(_, w)) = pending.get(p).filter(|&&(k, _)| k == key) {
+                sum += w;
+                p += 1;
+            }
+            if known {
+                merged[m].1 = sum;
+            } else {
+                pending[fresh] = (key, sum);
+                fresh += 1;
+            }
+        }
+        // Merge the new keys in from the back, largest first.
+        let (mut i, mut j) = (merged.len(), fresh);
+        merged.resize(i + fresh, (0, 0.0));
+        while j > 0 {
+            let out = i + j - 1;
+            if i > 0 && merged[i - 1].0 > pending[j - 1].0 {
+                merged[out] = merged[i - 1];
+                i -= 1;
+            } else {
+                merged[out] = pending[j - 1];
+                j -= 1;
+            }
+        }
+        pending.clear();
+    }
+}
+
+/// Builder that accumulates link weights and freezes them into sorted
+/// [`LinkBlock`]s.
+///
+/// Each type pair buffers its adds as packed `u64` keys and folds them
+/// into a sorted run of distinct links whenever the buffer fills, so the
+/// build is a sort and a merge rather than a hash map per pair, and the
+/// edge order is canonical by construction.
 #[derive(Debug, Default)]
 pub struct NetworkBuilder {
     type_names: Vec<String>,
     node_counts: Vec<usize>,
-    maps: HashMap<(usize, usize), HashMap<(u32, u32), f64>>,
+    /// One entry per type pair that has received an add.
+    pairs: Vec<PairLinks>,
+    /// Scratch for the radix sort, shared by every pair's flushes.
+    spare: Vec<(u64, f64)>,
 }
 
 impl NetworkBuilder {
     /// Starts a builder with the given node types.
     pub fn new(type_names: Vec<String>, node_counts: Vec<usize>) -> Self {
         assert_eq!(type_names.len(), node_counts.len());
-        Self { type_names, node_counts, maps: HashMap::new() }
+        Self { type_names, node_counts, pairs: Vec::new(), spare: Vec::new() }
     }
 
     /// Adds `w` to the (undirected) link between `(tx, i)` and `(ty, j)`.
@@ -199,23 +306,57 @@ impl NetworkBuilder {
         } else {
             (ty, j, tx, i)
         };
-        *self.maps.entry((tx, ty)).or_default().entry((i, j)).or_insert(0.0) += w;
+        let slot = match self.pairs.iter().position(|p| (p.tx, p.ty) == (tx, ty)) {
+            Some(slot) => slot,
+            None => {
+                self.pairs.push(PairLinks { tx, ty, merged: Vec::new(), pending: Vec::new() });
+                self.pairs.len() - 1
+            }
+        };
+        let pair = &mut self.pairs[slot];
+        pair.pending.push(((u64::from(i) << 32) | u64::from(j), w));
+        if pair.pending.len() >= FLUSH_CAP {
+            pair.flush(&mut self.spare);
+        }
     }
 
-    /// Freezes into a [`TypedNetwork`] with deterministic edge order.
+    /// Freezes into a [`TypedNetwork`]: blocks by type pair, edges by
+    /// `(i, j)`.
     pub fn build(self) -> TypedNetwork {
-        let mut blocks: Vec<LinkBlock> = self
-            .maps
+        let (mut pairs, mut spare) = (self.pairs, self.spare);
+        pairs.sort_unstable_by_key(|p| (p.tx, p.ty));
+        let blocks = pairs
             .into_iter()
-            .map(|((tx, ty), m)| {
-                let mut edges: Vec<(u32, u32, f64)> =
-                    m.into_iter().map(|((i, j), w)| (i, j, w)).collect();
-                edges.sort_unstable_by_key(|a| (a.0, a.1));
-                LinkBlock { tx, ty, edges }
+            .map(|mut p| {
+                p.flush(&mut spare);
+                let edges = p.merged.into_iter().map(|(key, w)| ((key >> 32) as u32, key as u32, w));
+                LinkBlock { tx: p.tx, ty: p.ty, edges: edges.collect() }
             })
             .collect();
-        blocks.sort_unstable_by_key(|a| (a.tx, a.ty));
         TypedNetwork { type_names: self.type_names, node_counts: self.node_counts, blocks }
+    }
+}
+
+/// The distinct terms of one document in ascending order, each flagged
+/// with whether it occurs more than once (which earns it a self-link).
+fn distinct_terms(tokens: &[u32], sorted: &mut Vec<u32>, terms: &mut Vec<(u32, bool)>) {
+    sorted.clear();
+    sorted.extend_from_slice(tokens);
+    sorted.sort_unstable();
+    terms.clear();
+    terms.extend(sorted.chunk_by(|a, b| a == b).map(|run| (run[0], run.len() > 1)));
+}
+
+/// Adds one document's term–term links of type `t`: a self-link for a
+/// repeated term, then a link to every larger distinct term.
+fn add_term_links(b: &mut NetworkBuilder, t: usize, terms: &[(u32, bool)]) {
+    for (a_idx, &(wa, repeated)) in terms.iter().enumerate() {
+        if repeated {
+            b.add(t, wa, t, wa, 1.0);
+        }
+        for &(wb, _) in &terms[a_idx + 1..] {
+            b.add(t, wa, t, wb, 1.0);
+        }
     }
 }
 
@@ -227,27 +368,10 @@ impl NetworkBuilder {
 pub fn co_occurrence_network(corpus: &Corpus) -> TypedNetwork {
     let v = corpus.num_words();
     let mut b = NetworkBuilder::new(vec!["term".into()], vec![v]);
-    let mut present: Vec<u32> = Vec::new();
-    let mut counts: HashMap<u32, u32> = HashMap::new();
+    let (mut sorted, mut terms) = (Vec::new(), Vec::new());
     for doc in &corpus.docs {
-        present.clear();
-        counts.clear();
-        for &w in &doc.tokens {
-            let c = counts.entry(w).or_insert(0);
-            if *c == 0 {
-                present.push(w);
-            }
-            *c += 1;
-        }
-        present.sort_unstable();
-        for (a_idx, &wa) in present.iter().enumerate() {
-            if counts[&wa] >= 2 {
-                b.add(0, wa, 0, wa, 1.0);
-            }
-            for &wb in &present[a_idx + 1..] {
-                b.add(0, wa, 0, wb, 1.0);
-            }
-        }
+        distinct_terms(&doc.tokens, &mut sorted, &mut terms);
+        add_term_links(&mut b, 0, &terms);
     }
     b.build()
 }
@@ -281,31 +405,13 @@ pub fn collapsed_network_from(corpus: &Corpus, from_doc: usize) -> TypedNetwork 
     counts.push(corpus.num_words());
     let mut b = NetworkBuilder::new(names, counts);
 
-    let mut terms: Vec<u32> = Vec::new();
-    let mut seen: HashMap<u32, u32> = HashMap::new();
+    let (mut sorted, mut terms) = (Vec::new(), Vec::new());
     for doc in corpus.docs.iter().skip(from_doc) {
-        terms.clear();
-        seen.clear();
-        for &w in &doc.tokens {
-            let c = seen.entry(w).or_insert(0);
-            if *c == 0 {
-                terms.push(w);
-            }
-            *c += 1;
-        }
-        terms.sort_unstable();
-        // term-term
-        for (a_idx, &wa) in terms.iter().enumerate() {
-            if seen[&wa] >= 2 {
-                b.add(term_type, wa, term_type, wa, 1.0);
-            }
-            for &wb in &terms[a_idx + 1..] {
-                b.add(term_type, wa, term_type, wb, 1.0);
-            }
-        }
+        distinct_terms(&doc.tokens, &mut sorted, &mut terms);
+        add_term_links(&mut b, term_type, &terms);
         // entity-term and entity-entity
         for (e_idx, ea) in doc.entities.iter().enumerate() {
-            for &w in &terms {
+            for &(w, _) in &terms {
                 b.add(ea.etype, ea.id, term_type, w, 1.0);
             }
             for eb in &doc.entities[e_idx + 1..] {
@@ -323,6 +429,8 @@ pub fn collapsed_network_from(corpus: &Corpus, from_doc: usize) -> TypedNetwork 
 mod tests {
     use super::*;
     use lesm_corpus::Corpus;
+    use proptest::prelude::*;
+    use std::collections::HashMap;
 
     fn tiny_corpus() -> Corpus {
         let mut c = Corpus::new();
@@ -423,6 +531,77 @@ mod tests {
         let g = b.build();
         let blk = g.block(0, 1).unwrap();
         assert_eq!(blk.edges, vec![(1, 2, 3.0)]);
+    }
+
+    type Blocks = Vec<(usize, usize, Vec<(u32, u32, u64)>)>;
+
+    /// The hash-map accumulator the builder replaced, as a reference.
+    fn reference(adds: &[(usize, u32, usize, u32, f64)]) -> Blocks {
+        let mut maps: HashMap<(usize, usize), HashMap<(u32, u32), f64>> = HashMap::new();
+        for &(tx, i, ty, j, w) in adds {
+            let (tx, i, ty, j) =
+                if tx < ty || (tx == ty && i <= j) { (tx, i, ty, j) } else { (ty, j, tx, i) };
+            *maps.entry((tx, ty)).or_default().entry((i, j)).or_insert(0.0) += w;
+        }
+        let mut blocks: Blocks = maps
+            .into_iter()
+            .map(|((tx, ty), m)| {
+                let mut edges: Vec<_> = m.into_iter().map(|((i, j), w)| (i, j, w.to_bits())).collect();
+                edges.sort_unstable_by_key(|&(i, j, _)| (i, j));
+                (tx, ty, edges)
+            })
+            .collect();
+        blocks.sort_unstable_by_key(|b| (b.0, b.1));
+        blocks
+    }
+
+    fn built(adds: &[(usize, u32, usize, u32, f64)]) -> Blocks {
+        let mut b = NetworkBuilder::new(vec!["a".into(), "b".into(), "c".into()], vec![6; 3]);
+        for &(tx, i, ty, j, w) in adds {
+            b.add(tx, i, ty, j, w);
+        }
+        let bits = |blk: LinkBlock| blk.edges.iter().map(|&(i, j, w)| (i, j, w.to_bits())).collect();
+        b.build().blocks.into_iter().map(|blk| (blk.tx, blk.ty, bits(blk))).collect()
+    }
+
+    /// Any `f64`: NaN, the infinities, both zeros, the smallest
+    /// subnormal and raw random bit patterns, but mostly small fractions,
+    /// whose sums round differently in every order.
+    fn any_weight() -> impl Strategy<Value = f64> {
+        (0u8..20, 0u64..=u64::MAX).prop_map(|(pick, bits)| match pick {
+            0 => f64::NAN,
+            1 => f64::INFINITY,
+            2 => f64::NEG_INFINITY,
+            3 => -0.0,
+            4 => 0.0,
+            5 => f64::from_bits(1),
+            6 | 7 => f64::from_bits(bits),
+            _ => (bits >> 11) as f64 / (1u64 << 53) as f64 * 4.0 - 2.0,
+        })
+    }
+
+    proptest! {
+        /// Arbitrary weights, both endpoint orders and many repeats of
+        /// each link, over far more adds than the unit-test flush cap: the
+        /// sorted build must reproduce the hash-map sums bit for bit.
+        #[test]
+        fn builder_matches_a_hash_map_reference(
+            adds in proptest::collection::vec(
+                (0usize..2, 0u32..4, 0usize..2, 0u32..4, any_weight()),
+                0..300,
+            )
+        ) {
+            prop_assert_eq!(built(&adds), reference(&adds));
+        }
+    }
+
+    #[test]
+    fn distinct_terms_flags_repeats() {
+        let (mut sorted, mut terms) = (Vec::new(), Vec::new());
+        distinct_terms(&[5, 2, 5, 9, 2, 2, 1], &mut sorted, &mut terms);
+        assert_eq!(terms, vec![(1, false), (2, true), (5, true), (9, false)]);
+        distinct_terms(&[], &mut sorted, &mut terms);
+        assert!(terms.is_empty());
     }
 
     #[test]

@@ -95,3 +95,36 @@ proptest! {
         }
     }
 }
+
+/// The builder's sums must equal a hash-map accumulator's bit for bit
+/// across its real flush cap too (the unit tests run with a tiny cap).
+/// 600k adds of fractional weights over 4k links: every link is hit
+/// about 150 times, on both sides of at least two flushes.
+#[test]
+fn builder_sums_match_a_hash_map_across_the_flush_cap() {
+    let mut b = NetworkBuilder::new(vec!["a".into(), "t".into()], vec![64, 64]);
+    let mut reference: std::collections::HashMap<(usize, u32, u32), f64> =
+        std::collections::HashMap::new();
+    let mut state = 0x9e37_79b9_7f4a_7c15u64;
+    for _ in 0..600_000 {
+        state = state.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1_442_695_040_888_963_407);
+        let (i, j) = ((state >> 58) as u32, (state >> 52) as u32 & 63);
+        let w = (state >> 11) as f64 / (1u64 << 53) as f64 - 0.25;
+        let tx = (state >> 40) as usize & 1;
+        b.add(tx, i, 1, j, w);
+        let key = if tx == 1 && j < i { (tx, j, i) } else { (tx, i, j) };
+        *reference.entry(key).or_insert(0.0) += w;
+    }
+    let g = b.build();
+    let got: Vec<(usize, u32, u32, u64)> = g
+        .blocks
+        .iter()
+        .flat_map(|blk| blk.edges.iter().map(move |&(i, j, w)| (blk.tx, i, j, w.to_bits())))
+        .collect();
+    let mut want: Vec<(usize, u32, u32, u64)> =
+        reference.into_iter().map(|((tx, i, j), w)| (tx, i, j, w.to_bits())).collect();
+    want.sort_unstable();
+    // Blocks come out by type pair and edges by `(i, j)`, so the build is
+    // already in the reference's sorted order.
+    assert_eq!(got, want);
+}
