@@ -82,16 +82,6 @@ impl MinedStructure {
     }
 }
 
-/// Total topical frequency mass of a phrase table, summed in sorted-key
-/// order. `HashMap` iteration order is process-random and f64 addition is
-/// not associative, so a plain `values().sum()` here would make ranking
-/// scores (and near-tie orderings) vary from run to run.
-pub(crate) fn phrase_mass(table: &HashMap<Vec<u32>, f64>) -> f64 {
-    let mut entries: Vec<(&Vec<u32>, f64)> = table.iter().map(|(k, &v)| (k, v)).collect();
-    entries.sort_unstable_by(|a, b| a.0.cmp(b.0));
-    entries.into_iter().map(|(_, v)| v).sum()
-}
-
 /// The integrated miner.
 #[derive(Debug, Default)]
 pub struct LatentStructureMiner;
@@ -145,146 +135,190 @@ pub(crate) struct DerivedArtifacts {
     pub doc_topic: Vec<Vec<f64>>,
 }
 
+/// The distinct non-empty segments of a corpus in sorted order, and each
+/// document's segments as indices into them (empty segments dropped).
+fn intern_segments(segments: &[Vec<Vec<u32>>]) -> (Vec<&[u32]>, Vec<Vec<usize>>) {
+    let flat: Vec<&[u32]> =
+        segments.iter().flatten().filter(|s| !s.is_empty()).map(Vec::as_slice).collect();
+    let mut order: Vec<usize> = (0..flat.len()).collect();
+    order.sort_unstable_by(|&a, &b| flat[a].cmp(flat[b]));
+    let mut distinct: Vec<&[u32]> = Vec::new();
+    let mut flat_id = vec![0; flat.len()];
+    for i in order {
+        if distinct.last() != Some(&flat[i]) {
+            distinct.push(flat[i]);
+        }
+        flat_id[i] = distinct.len() - 1;
+    }
+    let mut ids = flat_id.into_iter();
+    let doc_ids = segments
+        .iter()
+        .map(|doc| ids.by_ref().take(doc.iter().filter(|s| !s.is_empty()).count()).collect())
+        .collect();
+    (distinct, doc_ids)
+}
+
 /// Derives topical frequencies, ranked phrases, ranked entities, and
 /// per-document topic attributions from a constructed hierarchy and the
 /// bag-of-phrases segmentation of every document.
+///
+/// The distinct segments are interned once, in sorted order, and every
+/// topic's table is a dense array over them: `freq[t][id]` is phrase
+/// `id`'s topical frequency in topic `t`, `0.0` when the phrase is not in
+/// the table (stored frequencies are counts or at least `1e-6`). The hash
+/// maps of [`MinedStructure::phrase_topic_freq`] are built from these
+/// arrays at the end.
 pub(crate) fn derive_artifacts(
     hierarchy: &TopicHierarchy,
     segments: &[Vec<Vec<u32>>],
     term_type: usize,
     config: &MinerConfig,
 ) -> DerivedArtifacts {
-    {
-        // 4. Topical frequency estimation, top-down (Definition 3 / eq. 4.3):
-        //    the root owns the raw corpus counts; each expanded node splits
-        //    its phrases among children by the children's term-type phi.
-        let n_topics = hierarchy.len();
-        let mut ptf: Vec<HashMap<Vec<u32>, f64>> = vec![HashMap::new(); n_topics];
-        for doc_segs in segments {
-            for seg in doc_segs {
-                if !seg.is_empty() {
-                    *ptf[0].entry(seg.clone()).or_insert(0.0) += 1.0;
-                }
-            }
+    let n_topics = hierarchy.len();
+    let (distinct, doc_ids) = intern_segments(segments);
+
+    // 4. Topical frequency estimation, top-down (Definition 3 / eq. 4.3):
+    //    the root owns the raw corpus counts; each expanded node splits
+    //    its phrases among children by the children's term-type phi.
+    let mut freq: Vec<Vec<f64>> = vec![vec![0.0; distinct.len()]; n_topics];
+    for &id in doc_ids.iter().flatten() {
+        freq[0][id] += 1.0;
+    }
+    // Walk topics in index order: parents precede children by construction.
+    for t in 0..n_topics {
+        let children = &hierarchy.topics[t].children;
+        if children.is_empty() {
+            continue;
         }
-        // Walk topics in index order: parents precede children by construction.
-        for t in 0..n_topics {
-            let children = hierarchy.topics[t].children.clone();
-            if children.is_empty() {
+        let Some(fit) = hierarchy.fits[t].as_ref() else { continue };
+        let parent_freq = std::mem::take(&mut freq[t]);
+        let mut post = vec![0.0f64; children.len()];
+        for (id, &f) in parent_freq.iter().enumerate() {
+            if f == 0.0 {
                 continue;
             }
-            let Some(fit) = hierarchy.fits[t].as_ref() else { continue };
-            let parent_table = std::mem::take(&mut ptf[t]);
-            let mut child_tables: Vec<HashMap<Vec<u32>, f64>> =
-                vec![HashMap::new(); children.len()];
-            for (p, &f) in &parent_table {
-                let mut post = vec![0.0f64; children.len()];
-                let mut norm = 0.0;
-                for (z, _) in children.iter().enumerate() {
-                    let mut lp = fit.rho[z + 1].max(1e-12).ln();
-                    for &w in p {
-                        lp += fit.phi[term_type][z][w as usize].max(1e-300).ln();
-                    }
-                    post[z] = lp;
+            let mut norm = 0.0;
+            for (z, slot) in post.iter_mut().enumerate() {
+                let mut lp = fit.rho[z + 1].max(1e-12).ln();
+                for &w in distinct[id] {
+                    lp += fit.phi[term_type][z][w as usize].max(1e-300).ln();
                 }
-                let max_lp = post.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
-                for v in post.iter_mut() {
-                    *v = (*v - max_lp).exp();
-                    norm += *v;
-                }
-                for (z, v) in post.iter().enumerate() {
-                    let fz = f * v / norm;
-                    if fz >= 1e-6 {
-                        child_tables[z].insert(p.clone(), fz);
-                    }
-                }
+                *slot = lp;
             }
-            ptf[t] = parent_table;
-            for (z, table) in child_tables.into_iter().enumerate() {
-                ptf[children[z]] = table;
+            let max_lp = post.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
+            for v in post.iter_mut() {
+                *v = (*v - max_lp).exp();
+                norm += *v;
             }
-        }
-
-        // 5. Rank phrases per topic by pointwise KL vs the parent (eq. 4.9).
-        let totals: Vec<f64> = ptf.iter().map(phrase_mass).collect();
-        let mut topic_phrases: Vec<Vec<TopicalPhrase>> = Vec::with_capacity(n_topics);
-        for t in 0..n_topics {
-            let n_t: f64 = totals[t];
-            let parent = hierarchy.topics[t].parent;
-            let mut list: Vec<TopicalPhrase> = ptf[t]
-                .iter()
-                .filter(|&(_, &f)| f >= config.min_topic_freq)
-                .map(|(p, &f)| {
-                    let p_t = f / n_t.max(1e-12);
-                    let score = match parent {
-                        None => p_t,
-                        Some(pt) => {
-                            let n_p: f64 = totals[pt];
-                            let p_parent =
-                                ptf[pt].get(p).copied().unwrap_or(f) / n_p.max(1e-12);
-                            p_t * (p_t / p_parent.max(1e-300)).ln()
-                        }
-                    };
-                    TopicalPhrase { tokens: p.clone(), score, topic_freq: f }
-                })
-                .collect();
-            list.sort_by(|a, b| {
-                b.score.total_cmp(&a.score).then_with(|| a.tokens.cmp(&b.tokens))
-            });
-            list.truncate(config.phrases_per_topic);
-            topic_phrases.push(list);
-        }
-
-        // 6. Entity rankings straight from the hierarchy's phi.
-        let mut topic_entities: Vec<Vec<Vec<(u32, f64)>>> = Vec::with_capacity(n_topics);
-        for t in 0..n_topics {
-            let mut per_type = Vec::with_capacity(term_type);
-            for etype in 0..term_type {
-                per_type.push(hierarchy.top_nodes(t, etype, config.entities_per_topic));
-            }
-            topic_entities.push(per_type);
-        }
-
-        // 7. Document topic attribution via topical phrase frequencies
-        //    (eqs. 5.4-5.5, applied top-down).
-        let mut doc_topic = vec![vec![0.0f64; n_topics]; segments.len()];
-        for (d, doc_segs) in segments.iter().enumerate() {
-            doc_topic[d][0] = 1.0;
-            // Process expanded topics in index order (parents first).
-            for t in 0..n_topics {
-                let children = &hierarchy.topics[t].children;
-                if children.is_empty() || doc_topic[d][t] <= 0.0 {
-                    continue;
-                }
-                let mut tpf = vec![0.0f64; children.len()];
-                for seg in doc_segs {
-                    if seg.is_empty() {
-                        continue;
-                    }
-                    let mut weights = vec![0.0f64; children.len()];
-                    let mut norm = 0.0;
-                    for (z, &c) in children.iter().enumerate() {
-                        let f = ptf[c].get(seg).copied().unwrap_or(0.0);
-                        weights[z] = f;
-                        norm += f;
-                    }
-                    if norm > 0.0 {
-                        for (z, w) in weights.iter().enumerate() {
-                            tpf[z] += w / norm;
-                        }
-                    }
-                }
-                let total: f64 = tpf.iter().sum();
-                if total > 0.0 {
-                    for (z, &c) in children.iter().enumerate() {
-                        doc_topic[d][c] = doc_topic[d][t] * tpf[z] / total;
-                    }
+            for (&c, v) in children.iter().zip(&post) {
+                let fz = f * v / norm;
+                if fz >= 1e-6 {
+                    freq[c][id] = fz;
                 }
             }
         }
-
-        DerivedArtifacts { ptf, topic_phrases, topic_entities, doc_topic }
+        freq[t] = parent_freq;
     }
+
+    // 5. Rank phrases per topic by pointwise KL vs the parent (eq. 4.9).
+    //    Totals sum each table in sorted-phrase order (the id order).
+    let totals: Vec<f64> =
+        freq.iter().map(|table| table.iter().filter(|&&f| f != 0.0).sum()).collect();
+    let mut topic_phrases: Vec<Vec<TopicalPhrase>> = Vec::with_capacity(n_topics);
+    for t in 0..n_topics {
+        let n_t: f64 = totals[t];
+        let parent = hierarchy.topics[t].parent;
+        let mut list: Vec<(usize, f64, f64)> = freq[t]
+            .iter()
+            .enumerate()
+            .filter(|&(_, &f)| f != 0.0 && f >= config.min_topic_freq)
+            .map(|(id, &f)| {
+                let p_t = f / n_t.max(1e-12);
+                let score = match parent {
+                    None => p_t,
+                    Some(pt) => {
+                        let n_p: f64 = totals[pt];
+                        let in_parent = freq[pt][id];
+                        let p_parent =
+                            (if in_parent != 0.0 { in_parent } else { f }) / n_p.max(1e-12);
+                        p_t * (p_t / p_parent.max(1e-300)).ln()
+                    }
+                };
+                (id, score, f)
+            })
+            .collect();
+        // Ids follow token order, so they break score ties as tokens would.
+        list.sort_by(|a, b| b.1.total_cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
+        list.truncate(config.phrases_per_topic);
+        topic_phrases.push(
+            list.into_iter()
+                .map(|(id, score, topic_freq)| TopicalPhrase {
+                    tokens: distinct[id].to_vec(),
+                    score,
+                    topic_freq,
+                })
+                .collect(),
+        );
+    }
+
+    // 6. Entity rankings straight from the hierarchy's phi.
+    let mut topic_entities: Vec<Vec<Vec<(u32, f64)>>> = Vec::with_capacity(n_topics);
+    for t in 0..n_topics {
+        let mut per_type = Vec::with_capacity(term_type);
+        for etype in 0..term_type {
+            per_type.push(hierarchy.top_nodes(t, etype, config.entities_per_topic));
+        }
+        topic_entities.push(per_type);
+    }
+
+    // 7. Document topic attribution via topical phrase frequencies
+    //    (eqs. 5.4-5.5, applied top-down).
+    let doc_topic = lesm_par::par_map_collect(segments.len(), config.threads, |d| {
+        let mut row = vec![0.0f64; n_topics];
+        row[0] = 1.0;
+        // Process expanded topics in index order (parents first).
+        for t in 0..n_topics {
+            let children = &hierarchy.topics[t].children;
+            if children.is_empty() || row[t] <= 0.0 {
+                continue;
+            }
+            let mut tpf = vec![0.0f64; children.len()];
+            let mut weights = vec![0.0f64; children.len()];
+            for &id in &doc_ids[d] {
+                let mut norm = 0.0;
+                for (z, &c) in children.iter().enumerate() {
+                    let f = freq[c][id];
+                    weights[z] = f;
+                    norm += f;
+                }
+                if norm > 0.0 {
+                    for (z, w) in weights.iter().enumerate() {
+                        tpf[z] += w / norm;
+                    }
+                }
+            }
+            let total: f64 = tpf.iter().sum();
+            if total > 0.0 {
+                for (z, &c) in children.iter().enumerate() {
+                    row[c] = row[t] * tpf[z] / total;
+                }
+            }
+        }
+        row
+    });
+
+    let ptf = freq
+        .iter()
+        .map(|table| {
+            table
+                .iter()
+                .enumerate()
+                .filter(|&(_, &f)| f != 0.0)
+                .map(|(id, &f)| (distinct[id].to_vec(), f))
+                .collect()
+        })
+        .collect();
+    DerivedArtifacts { ptf, topic_phrases, topic_entities, doc_topic }
 }
 
 #[cfg(test)]

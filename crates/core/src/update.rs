@@ -165,6 +165,16 @@ mod tests {
             assert_eq!(a.topic_phrases, other.topic_phrases);
             assert_eq!(a.segments, other.segments);
             assert_eq!(a.topic_entities, other.topic_entities);
+            assert_eq!(a.phrase_topic_freq.len(), other.phrase_topic_freq.len());
+            for (ta, to) in a.phrase_topic_freq.iter().zip(&other.phrase_topic_freq) {
+                let sorted = |t: &std::collections::HashMap<Vec<u32>, f64>| {
+                    let mut e: Vec<(Vec<u32>, u64)> =
+                        t.iter().map(|(k, v)| (k.clone(), v.to_bits())).collect();
+                    e.sort_unstable();
+                    e
+                };
+                assert_eq!(sorted(ta), sorted(to));
+            }
             for (fa, fo) in a.hierarchy.fits.iter().zip(&other.hierarchy.fits) {
                 match (fa, fo) {
                     (Some(fa), Some(fo)) => {

@@ -18,35 +18,29 @@ use std::collections::HashMap;
 use std::ops::Range;
 
 /// Chunk count for parallel phrase counting — fixed so the chunking (and
-/// thus the per-chunk tables merged below) never depends on thread count.
+/// thus the order in which keys are collected) never depends on thread
+/// count.
 const MINE_PIECES: usize = 32;
 
-/// Counts phrases over disjoint chunks of `[0, n_items)` in parallel and
-/// merges the per-chunk tables in chunk order. Counts are exact integer
-/// sums, so the merged table is identical for any thread count.
-fn count_chunks<F>(n_items: usize, threads: usize, count: F) -> HashMap<Vec<u32>, u64>
-where
-    F: Fn(Range<usize>, &mut HashMap<Vec<u32>, u64>) + Sync,
-{
-    let ranges = lesm_par::chunk_ranges(n_items, lesm_par::grain_for_pieces(n_items, MINE_PIECES));
-    let ranges_ref = &ranges;
-    let count_ref = &count;
-    let maps = lesm_par::par_map_collect(ranges.len(), threads, |c| {
-        let mut m = HashMap::new();
-        count_ref(ranges_ref[c].clone(), &mut m);
-        m
-    });
-    let mut out: HashMap<Vec<u32>, u64> = HashMap::new();
-    for m in maps {
-        // lesm-lint: allow(D2) — `u64 +=` merge into a keyed map is order-independent
-        for (k, v) in m {
-            *out.entry(k).or_insert(0) += v;
-        }
-    }
-    out
+/// Position id of a phrase that is not in the table.
+const NONE: u32 = u32::MAX;
+
+/// The key of the length-`n` candidate at position `i`, given the ids `at`
+/// of the length-(n-1) phrases. It needs frequent length-(n-1) phrases at
+/// both `i` and `i + 1` (downward closure). The suffix check only prunes:
+/// a phrase with an infrequent suffix cannot reach the support itself.
+fn candidate(at: &[u32], doc: &[u32], i: usize, n: usize) -> Option<u64> {
+    (at[i] != NONE && at[i + 1] != NONE).then(|| u64::from(at[i]) << 32 | u64::from(doc[i + n - 1]))
 }
 
 /// Frequent contiguous phrases with their corpus counts.
+///
+/// Phrases are stored as a prefix-id table. A phrase's id is its index in
+/// `keys`/`counts`; ids are grouped by length, and sorted by key within a
+/// length. A length-1 phrase's key is its token; a length-n phrase's key is
+/// `(id of its length-(n-1) prefix) << 32 | last token`. Every prefix and
+/// suffix of a stored phrase is stored too (Apriori closure), so looking a
+/// phrase up is one binary search per token.
 ///
 /// ```
 /// use lesm_phrases::topmine::FrequentPhrases;
@@ -58,9 +52,12 @@ where
 /// assert_eq!(fp.count(&[1, 2]), 0);
 /// assert!(fp.significance(&[0], &[1]).unwrap() > 0.0);
 /// ```
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct FrequentPhrases {
-    counts: HashMap<Vec<u32>, u64>,
+    keys: Vec<u64>,
+    counts: Vec<u64>,
+    /// `level_end[n - 1]` is one past the last id of length `n`.
+    level_end: Vec<usize>,
     total_tokens: u64,
 }
 
@@ -71,10 +68,15 @@ impl FrequentPhrases {
         Self::mine_threads(docs, min_support, max_len, 1)
     }
 
-    /// [`mine`](Self::mine) with the per-document counting passes fanned
-    /// out over `threads` workers (`0` = all available cores). Phrase
-    /// counts are exact integer sums over disjoint document chunks, so the
-    /// result is identical for any thread count.
+    /// [`mine`](Self::mine) with the per-document passes fanned out over
+    /// `threads` workers (`0` = all available cores). Phrase counts are
+    /// exact integer counts of sorted keys, so the result is identical for
+    /// any thread count.
+    ///
+    /// # Panics
+    ///
+    /// If the corpus has `u32::MAX` or more frequent phrases, the limit of
+    /// the 32-bit phrase ids.
     pub fn mine_threads(
         docs: &[Vec<u32>],
         min_support: u64,
@@ -82,75 +84,111 @@ impl FrequentPhrases {
         threads: usize,
     ) -> Self {
         let total_tokens: u64 = docs.iter().map(|d| d.len() as u64).sum();
-        // Length-1 pass.
-        let mut counts = count_chunks(docs.len(), threads, |range, m| {
-            for doc in &docs[range] {
-                for &w in doc {
-                    *m.entry(vec![w]).or_insert(0) += 1;
+        let mut table = Self { total_tokens, ..Self::default() };
+        if max_len == 0 {
+            return table;
+        }
+        let grain = lesm_par::grain_for_pieces(docs.len(), MINE_PIECES);
+        let ranges = lesm_par::chunk_ranges(docs.len(), grain);
+        let collect = |keys_of: &(dyn Fn(usize, &mut Vec<u64>) + Sync)| -> Vec<u64> {
+            lesm_par::par_map_collect(ranges.len(), threads, |c| {
+                let mut keys = Vec::new();
+                for d in ranges[c].clone() {
+                    keys_of(d, &mut keys);
                 }
-            }
+                keys
+            })
+            .concat()
+        };
+        // Length 1: count the sorted tokens.
+        let unigrams = collect(&|d, keys| keys.extend(docs[d].iter().map(|&w| u64::from(w))));
+        if !table.push_level(unigrams, min_support) {
+            return table;
+        }
+        // `ids[d][i]` is the id of the frequent length-(n-1) phrase starting
+        // at position `i` of document `d`, or `NONE` (position-based
+        // Apriori). It holds only the positions where such a phrase fits,
+        // and is emptied once none is frequent (data antimonotonicity).
+        let mut ids: Vec<Vec<u32>> = lesm_par::par_map_collect(docs.len(), threads, |d| {
+            docs[d].iter().map(|&w| table.lookup(1, u64::from(w)).unwrap_or(NONE)).collect()
         });
-        counts.retain(|_, &mut c| c >= min_support);
-        // `alive[d]` holds start positions whose length-(n-1) phrase is
-        // frequent (position-based Apriori); documents with no alive
-        // positions are dropped (data antimonotonicity).
-        let counts_ref = &counts;
-        let mut alive: Vec<Vec<usize>> = lesm_par::par_map_collect(docs.len(), threads, |d| {
-            let doc = &docs[d];
-            (0..doc.len())
-                .filter(|&i| counts_ref.contains_key(std::slice::from_ref(&doc[i])))
-                .collect()
-        });
-        let mut active_docs: Vec<usize> =
-            (0..docs.len()).filter(|&d| !alive[d].is_empty()).collect();
-        let mut n = 2usize;
-        while !active_docs.is_empty() && n <= max_len {
-            let alive_ref = &alive;
-            let active_ref = &active_docs;
-            let mut next_counts = count_chunks(active_docs.len(), threads, |range, m| {
-                for &d in &active_ref[range] {
-                    let doc = &docs[d];
-                    // A length-n candidate at i needs frequent length-(n-1)
-                    // phrases at both i and i+1 (downward closure).
-                    let set: std::collections::HashSet<usize> =
-                        alive_ref[d].iter().copied().collect();
-                    for &i in &alive_ref[d] {
-                        if i + n <= doc.len() && set.contains(&(i + 1)) {
-                            *m.entry(doc[i..i + n].to_vec()).or_insert(0) += 1;
-                        }
-                    }
-                }
+        for n in 2..=max_len {
+            let keys = collect(&|d, keys| {
+                let (doc, at) = (&docs[d], &ids[d]);
+                let fits = at.len().saturating_sub(1);
+                keys.extend((0..fits).filter_map(|i| candidate(at, doc, i, n)));
             });
-            next_counts.retain(|_, &mut c| c >= min_support);
-            if next_counts.is_empty() {
+            if !table.push_level(keys, min_support) || n == max_len {
                 break;
             }
-            // Refresh alive positions for length n.
-            let next_ref = &next_counts;
-            let alive_ref = &alive;
-            let refreshed: Vec<Vec<usize>> =
-                lesm_par::par_map_collect(active_docs.len(), threads, |j| {
-                    let d = active_ref[j];
-                    let doc = &docs[d];
-                    alive_ref[d]
-                        .iter()
-                        .copied()
-                        .filter(|&i| i + n <= doc.len() && next_ref.contains_key(&doc[i..i + n]))
-                        .collect()
-                });
-            for (j, fresh) in refreshed.into_iter().enumerate() {
-                alive[active_docs[j]] = fresh;
-            }
-            active_docs.retain(|&d| !alive[d].is_empty());
-            counts.extend(next_counts);
-            n += 1;
+            let table_ref = &table;
+            lesm_par::par_for_each_mut(&mut ids, threads, |d, at| {
+                let fits = at.len().saturating_sub(1);
+                let mut alive = false;
+                for i in 0..fits {
+                    let key = candidate(at, &docs[d], i, n);
+                    at[i] = key.and_then(|k| table_ref.lookup(n, k)).unwrap_or(NONE);
+                    alive |= at[i] != NONE;
+                }
+                at.truncate(if alive { fits } else { 0 });
+            });
         }
-        Self { counts, total_tokens }
+        table
+    }
+
+    /// Sorts one length's candidate keys, appends those occurring at least
+    /// `min_support` times as the next length, and reports whether any did.
+    fn push_level(&mut self, mut keys: Vec<u64>, min_support: u64) -> bool {
+        keys.sort_unstable();
+        let start = self.keys.len();
+        for run in keys.chunk_by(|a, b| a == b) {
+            let count = run.len() as u64;
+            if count >= min_support {
+                self.keys.push(run[0]);
+                self.counts.push(count);
+            }
+        }
+        assert!(self.keys.len() < NONE as usize, "more than u32::MAX - 1 frequent phrases");
+        self.level_end.push(self.keys.len());
+        self.keys.len() > start
+    }
+
+    /// The ids of the stored length-`n` phrases.
+    fn level(&self, n: usize) -> Option<Range<usize>> {
+        let end = *self.level_end.get(n.checked_sub(1)?)?;
+        Some(if n == 1 { 0 } else { self.level_end[n - 2] }..end)
+    }
+
+    /// The id of the length-`n` phrase with `key`.
+    fn lookup(&self, n: usize, key: u64) -> Option<u32> {
+        let ids = self.level(n)?;
+        let rank = self.keys[ids.clone()].binary_search(&key).ok()?;
+        // Below `NONE` by the assertion in `push_level`.
+        Some((ids.start + rank) as u32)
+    }
+
+    /// The id of `prefix ⊕ tokens`, where `prefix` is the id of a stored
+    /// phrase of length `len`.
+    fn extend(&self, prefix: u32, len: usize, tokens: &[u32]) -> Option<u32> {
+        tokens.iter().enumerate().try_fold(prefix, |id, (k, &w)| {
+            self.lookup(len + k + 1, u64::from(id) << 32 | u64::from(w))
+        })
+    }
+
+    /// The id of a non-empty stored phrase.
+    fn id_of(&self, phrase: &[u32]) -> Option<u32> {
+        let (&first, rest) = phrase.split_first()?;
+        self.extend(self.lookup(1, u64::from(first))?, 1, rest)
+    }
+
+    /// Count of the phrase with id `id`, `0` for `NONE`.
+    fn count_id(&self, id: u32) -> u64 {
+        self.counts.get(id as usize).copied().unwrap_or(0)
     }
 
     /// Count of a phrase (0 when not frequent).
     pub fn count(&self, phrase: &[u32]) -> u64 {
-        self.counts.get(phrase).copied().unwrap_or(0)
+        self.id_of(phrase).map_or(0, |id| self.count_id(id))
     }
 
     /// Total token count `L` of the mined corpus.
@@ -160,19 +198,33 @@ impl FrequentPhrases {
 
     /// Number of stored frequent phrases (all lengths).
     pub fn len(&self) -> usize {
-        self.counts.len()
+        self.keys.len()
     }
 
     /// Whether no phrase met the support threshold.
     pub fn is_empty(&self) -> bool {
-        self.counts.is_empty()
+        self.keys.is_empty()
     }
 
-    /// Iterates `(phrase, count)` pairs in unspecified order; callers that
-    /// emit or accumulate floats must sort first.
-    pub fn iter(&self) -> impl Iterator<Item = (&Vec<u32>, u64)> {
-        // lesm-lint: allow(D2) — deliberately exposes the map; order documented as unspecified
-        self.counts.iter().map(|(p, &c)| (p, c))
+    /// Iterates `(phrase, count)` pairs in id order: shorter phrases first,
+    /// and phrases of one length in token order (a prefix's id follows
+    /// the token order of its length, so keys do too). The order is a
+    /// function of the mined phrases alone.
+    pub fn iter(&self) -> impl Iterator<Item = (Vec<u32>, u64)> + '_ {
+        (1..=self.level_end.len()).flat_map(move |n| {
+            self.level(n).into_iter().flatten().map(move |id| (self.phrase(id, n), self.counts[id]))
+        })
+    }
+
+    /// The tokens of the length-`n` phrase with id `id`.
+    fn phrase(&self, mut id: usize, n: usize) -> Vec<u32> {
+        let mut out = vec![0u32; n];
+        for slot in out.iter_mut().rev() {
+            let key = self.keys[id];
+            *slot = key as u32;
+            id = (key >> 32) as usize;
+        }
+        out
     }
 
     /// Significance of merging adjacent phrases `p1 ⊕ p2` (eq. 4.7):
@@ -181,16 +233,21 @@ impl FrequentPhrases {
     /// Returns `None` if the concatenation is not itself frequent (it then
     /// can never be merged).
     pub fn significance(&self, p1: &[u32], p2: &[u32]) -> Option<f64> {
-        let mut cat = Vec::with_capacity(p1.len() + p2.len());
-        cat.extend_from_slice(p1);
-        cat.extend_from_slice(p2);
-        let f_cat = self.count(&cat);
-        if f_cat == 0 {
-            return None;
-        }
+        let (c1, cat) = match self.id_of(p1) {
+            Some(id) => (self.count_id(id), self.extend(id, p1.len(), p2)?),
+            None if p1.is_empty() => (0, self.id_of(p2)?),
+            None => return None,
+        };
+        Some(self.merge_score(cat, c1, self.count(p2)))
+    }
+
+    /// Eq. 4.7 for the stored concatenation `cat` of phrases counted `c1`
+    /// and `c2` times.
+    fn merge_score(&self, cat: u32, c1: u64, c2: u64) -> f64 {
+        let f_cat = self.count_id(cat) as f64;
         let l = self.total_tokens.max(1) as f64;
-        let mu = l * (self.count(p1) as f64 / l) * (self.count(p2) as f64 / l);
-        Some((f_cat as f64 - mu) / (f_cat as f64).sqrt())
+        let mu = l * (c1 as f64 / l) * (c2 as f64 / l);
+        (f_cat - mu) / f_cat.sqrt()
     }
 }
 
@@ -207,6 +264,23 @@ impl Default for SegmenterConfig {
     }
 }
 
+/// One segment under construction: `doc[start..end]`, stored phrase id `id`
+/// (`NONE` when the segment is not a stored phrase).
+#[derive(Debug, Clone, Copy)]
+struct Span {
+    start: usize,
+    end: usize,
+    id: u32,
+}
+
+/// Reusable per-worker buffers for [`Segmenter::segment_doc`]: the current
+/// spans and, for each adjacent pair, the merged id and its significance.
+#[derive(Debug, Default)]
+struct SegScratch {
+    spans: Vec<Span>,
+    gains: Vec<Option<(u32, f64)>>,
+}
+
 /// Bottom-up agglomerative phrase construction (Algorithm 2).
 #[derive(Debug, Clone, Default)]
 pub struct Segmenter;
@@ -218,27 +292,55 @@ impl Segmenter {
         phrases: &FrequentPhrases,
         config: &SegmenterConfig,
     ) -> Vec<Vec<u32>> {
-        let mut segs: Vec<Vec<u32>> = doc.iter().map(|&w| vec![w]).collect();
+        Self::segment_with(doc, phrases, config, &mut SegScratch::default())
+    }
+
+    fn segment_with(
+        doc: &[u32],
+        phrases: &FrequentPhrases,
+        config: &SegmenterConfig,
+        scratch: &mut SegScratch,
+    ) -> Vec<Vec<u32>> {
+        // The merged phrase's id and significance, if it is stored.
+        let gain = |l: Span, r: Span| -> Option<(u32, f64)> {
+            if l.id == NONE {
+                return None;
+            }
+            let cat = phrases.extend(l.id, l.end - l.start, &doc[r.start..r.end])?;
+            Some((cat, phrases.merge_score(cat, phrases.count_id(l.id), phrases.count_id(r.id))))
+        };
+        let SegScratch { spans, gains } = scratch;
+        spans.clear();
+        spans.extend(doc.iter().enumerate().map(|(i, &w)| Span {
+            start: i,
+            end: i + 1,
+            id: phrases.lookup(1, u64::from(w)).unwrap_or(NONE),
+        }));
+        gains.clear();
+        gains.extend(spans.windows(2).map(|p| gain(p[0], p[1])));
         loop {
             // Titles and sentences are short: a linear scan for the best
             // adjacent merge beats heap maintenance at these lengths.
-            let mut best: Option<(usize, f64)> = None;
-            for i in 0..segs.len().saturating_sub(1) {
-                if let Some(sig) = phrases.significance(&segs[i], &segs[i + 1]) {
-                    if sig >= config.alpha && best.is_none_or(|(_, b)| sig > b) {
-                        best = Some((i, sig));
+            let mut best: Option<(usize, u32, f64)> = None;
+            for (i, g) in gains.iter().enumerate() {
+                if let Some((id, sig)) = *g {
+                    if sig >= config.alpha && best.is_none_or(|(_, _, b)| sig > b) {
+                        best = Some((i, id, sig));
                     }
                 }
             }
-            match best {
-                Some((i, _)) => {
-                    let right = segs.remove(i + 1);
-                    segs[i].extend(right);
-                }
-                None => break,
+            let Some((i, id, _)) = best else { break };
+            spans[i] = Span { start: spans[i].start, end: spans[i + 1].end, id };
+            spans.remove(i + 1);
+            gains.remove(i);
+            if i > 0 {
+                gains[i - 1] = gain(spans[i - 1], spans[i]);
+            }
+            if i < gains.len() {
+                gains[i] = gain(spans[i], spans[i + 1]);
             }
         }
-        segs
+        spans.iter().map(|s| doc[s.start..s.end].to_vec()).collect()
     }
 
     /// Segments every document.
@@ -259,9 +361,13 @@ impl Segmenter {
         config: &SegmenterConfig,
         threads: usize,
     ) -> Vec<Vec<Vec<u32>>> {
-        lesm_par::par_map_collect(docs.len(), threads, |d| {
-            Self::segment_doc(&docs[d], phrases, config)
-        })
+        lesm_par::par_map_collect_scratch(
+            docs.len(),
+            threads,
+            lesm_par::WorkHint::HEAVY,
+            SegScratch::default,
+            |d, scratch| Self::segment_with(&docs[d], phrases, config, scratch),
+        )
     }
 }
 
@@ -521,10 +627,28 @@ mod tests {
         let serial_segs = Segmenter::segment(&d, &serial, &seg_cfg);
         for threads in 2..=8 {
             let par = FrequentPhrases::mine_threads(&d, 5, 5, threads);
-            assert_eq!(serial.counts, par.counts, "threads={threads}");
-            assert_eq!(serial.total_tokens, par.total_tokens);
+            assert_eq!(serial, par, "threads={threads}");
             let par_segs = Segmenter::segment_threads(&d, &par, &seg_cfg, threads);
             assert_eq!(serial_segs, par_segs, "threads={threads}");
+        }
+    }
+
+    #[test]
+    fn max_len_zero_mines_nothing_and_segments_like_unigrams() {
+        let d = docs();
+        let none = FrequentPhrases::mine(&d, 5, 0);
+        assert!(none.is_empty(), "length <= 0 admits no phrase");
+        assert_eq!(none.total_tokens(), d.iter().map(|x| x.len() as u64).sum::<u64>());
+        // Length 1 keeps the frequent unigrams, which length 0 used to
+        // return as well; neither table admits a merge.
+        let unigrams = FrequentPhrases::mine(&d, 5, 1);
+        assert_eq!(unigrams.len(), 8);
+        let cfg = SegmenterConfig::default();
+        let segs = Segmenter::segment(&d, &none, &cfg);
+        assert_eq!(segs, Segmenter::segment(&d, &unigrams, &cfg));
+        for (doc, seg) in d.iter().zip(&segs) {
+            let singles: Vec<Vec<u32>> = doc.iter().map(|&w| vec![w]).collect();
+            assert_eq!(seg, &singles);
         }
     }
 
